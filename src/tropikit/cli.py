@@ -4,16 +4,11 @@ Every subcommand reads plain-text inputs, writes one plain-text artifact to
 --output (default stdout), and is deterministic byte for byte.  Exit codes:
 0 on success, 1 for a library error (one line `ERROR <code>: <message>` on
 stderr), 2 for usage or input-parse errors.
-
-The TROPIKIT_THREADS environment variable caps internal parallelism; the
-computations here are sequential, so any positive value leaves results
-byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -221,13 +216,6 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("TROPIKIT_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"warning: ignoring TROPIKIT_THREADS={threads!r}", file=sys.stderr)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -33,9 +33,7 @@ from .errors import (
     DomainError,
     UnsupportedDimension,
 )
-
-NEG_INF = float("-inf")
-POS_INF = float("inf")
+from .semiring import NEG_INF, POS_INF, _positive_finite
 
 
 def _frac_vec(v, n: Optional[int] = None) -> Tuple[Fraction, ...]:
@@ -126,10 +124,10 @@ def eval_dequantized(f: GenPolynomial, x: Sequence[float], h: float) -> float:
 
     With s_i = (d_i, x)/h + ln|a_i| this is h*(M + ln|sum_i sgn(a_i)
     e^{s_i - M}|), M = max s_i; the shifted exponentials stay in [0, 1].
-    Returns -inf (and warns) if mixed-sign terms cancel exactly at x.
+    Returns -inf (and warns) if mixed-sign terms cancel exactly at x, and
+    raises DomainError if the largest s_i is not a finite float.
     """
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
-        raise DomainError(f"h must be a positive finite real, got {h!r}")
+    _positive_finite(h, "h")
     xs = tuple(float(v) for v in x)
     if len(xs) != f.n:
         raise DimensionMismatch(f"point has {len(xs)} coordinates, polynomial has {f.n}")
@@ -138,6 +136,8 @@ def eval_dequantized(f: GenPolynomial, x: Sequence[float], h: float) -> float:
     s = np.array([_dot_float(d, xs) / h + math.log(abs(c)) for c, d in f.terms])
     signs = np.array([1.0 if c > 0 else -1.0 for c, _ in f.terms])
     m = float(s.max())
+    if not math.isfinite(m):
+        raise DomainError(f"scaled exponents at {xs} overflow float64 for h = {h!r}")
     inner = float(np.sum(signs * np.exp(s - m)))
     if inner == 0.0:
         warnings.warn(
@@ -441,8 +441,7 @@ def tropical_curve_2d(terms) -> TropicalCurve:
 
 def log_h(z, h: float):
     """Coordinatewise h*ln|z| for a tuple of nonzero complex numbers."""
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
-        raise DomainError(f"h must be a positive finite real, got {h!r}")
+    _positive_finite(h, "h")
     out = []
     for zi in z:
         zi = complex(zi)
@@ -460,8 +459,7 @@ def amoeba_line_sample(h: float, samples: int) -> np.ndarray:
     stays off the punctures) and spreads angles uniformly; the first
     `samples` grid points are returned as an (samples, 2) float array.
     """
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
-        raise DomainError(f"h must be a positive finite real, got {h!r}")
+    _positive_finite(h, "h")
     samples = int(samples)
     if samples < 1:
         raise DomainError("need at least one sample")

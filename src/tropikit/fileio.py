@@ -16,11 +16,8 @@ from .dequant import CurvePiece, TropicalCurve
 from .errors import FileFormatError
 from .interval import IntervalMatrix
 from .linalg import Graph, SemiringMatrix
-from .semiring import SemiringSpec
+from .semiring import NEG_INF, POS_INF, SemiringSpec
 from .transform import SampledFunction
-
-NEG_INF = float("-inf")
-POS_INF = float("inf")
 
 
 def fmt_float(x: float) -> str:

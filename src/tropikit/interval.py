@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, NonConvergent, NotIdempotent, ShapeMismatch, SpecMismatch
-from .semiring import MINPLUS, SemiringSpec, add, leq, mul
+from .errors import DomainError, NonConvergent, NotIdempotent, ShapeMismatch
+from .semiring import MINPLUS, SemiringSpec, _same_spec, add, leq, mul
 
 
 class IntervalValue:
@@ -68,12 +68,6 @@ class IntervalValue:
         return f"IntervalValue({self.lower!r}, {self.upper!r}, spec={self.spec.name!r})"
 
 
-def _same_spec(x, y) -> SemiringSpec:
-    if x.spec.name != y.spec.name:
-        raise SpecMismatch(f"mixed semirings: {x.spec.name} vs {y.spec.name}")
-    return x.spec
-
-
 def interval_add(x: IntervalValue, y: IntervalValue) -> IntervalValue:
     """Endpointwise (+); the tightest interval containing all pointwise sums."""
     spec = _same_spec(x, y)
@@ -92,9 +86,7 @@ class IntervalMatrix:
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: linalg.SemiringMatrix, upper: linalg.SemiringMatrix):
-        spec = lower.spec
-        if spec.name != upper.spec.name:
-            raise SpecMismatch(f"mixed semirings: {spec.name} vs {upper.spec.name}")
+        spec = _same_spec(lower, upper)
         if not spec.idempotent:
             raise NotIdempotent(f"intervals need the standard order; {spec.name} has none")
         if lower.shape != upper.shape:
@@ -189,8 +181,7 @@ def interval_bellman(
     ordered, so the pair is again a valid interval matrix, and each endpoint
     is attained by an admissible point problem.
     """
-    if H.spec.name != F.spec.name:
-        raise SpecMismatch(f"mixed semirings: {H.spec.name} vs {F.spec.name}")
+    _same_spec(H, F)
     try:
         xl = linalg.solve_bellman_jacobi(H.lower, F.lower, max_iter=max_iter)
     except NonConvergent as e:

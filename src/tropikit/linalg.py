@@ -10,7 +10,6 @@ shift by) already-computed floats, so fixpoint detection is exact equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -20,9 +19,8 @@ from .errors import (
     NonConvergent,
     NotIdempotent,
     ShapeMismatch,
-    SpecMismatch,
 )
-from .semiring import MINPLUS, SemiringSpec
+from .semiring import MINPLUS, SemiringSpec, _reduce_rows, _same_spec
 
 
 class SemiringMatrix:
@@ -82,12 +80,6 @@ class SemiringMatrix:
         return f"SemiringMatrix({self.data.tolist()!r}, spec={self.spec.name!r})"
 
 
-def _same_spec(A: SemiringMatrix, B: SemiringMatrix) -> SemiringSpec:
-    if A.spec.name != B.spec.name:
-        raise SpecMismatch(f"mixed semirings: {A.spec.name} vs {B.spec.name}")
-    return A.spec
-
-
 def matrix_add(A: SemiringMatrix, B: SemiringMatrix) -> SemiringMatrix:
     """Entrywise (+)."""
     spec = _same_spec(A, B)
@@ -97,12 +89,14 @@ def matrix_add(A: SemiringMatrix, B: SemiringMatrix) -> SemiringMatrix:
 
 
 def matrix_mul(A: SemiringMatrix, B: SemiringMatrix) -> SemiringMatrix:
-    """Matrix product with (+) as sum and (x) as product."""
+    """Matrix product with (+) as sum and (x) as product, in row blocks."""
     spec = _same_spec(A, B)
     if A.cols != B.rows:
         raise ShapeMismatch(f"cannot multiply shapes {A.shape} and {B.shape}")
-    prod = spec.mul(A.data[:, :, None], B.data[None, :, :])
-    return SemiringMatrix(spec.add_reduce(prod, axis=1), spec)
+    a, b = A.data, B.data
+    out = np.empty((A.rows, B.cols))
+    _reduce_rows(spec, out, b.size, lambda s: spec.mul(a[s, :, None], b[None, :, :]))
+    return SemiringMatrix(out, spec)
 
 
 def _require_idempotent(spec: SemiringSpec, what: str) -> None:
@@ -110,27 +104,26 @@ def _require_idempotent(spec: SemiringSpec, what: str) -> None:
         raise NotIdempotent(f"{what} needs an idempotent addition; {spec.name} has none")
 
 
-def kleene_star(A: SemiringMatrix, max_iter: Optional[int] = None) -> SemiringMatrix:
+def kleene_star(A: SemiringMatrix) -> SemiringMatrix:
     """A* = I (+) A (+) A^2 (+) ..., detected by exact stabilization.
 
-    The default budget of n+1 update passes is enough whenever the series
-    stabilizes at all (path weights stop improving after n-1 steps); running
-    out of budget signals genuine divergence, e.g. a negative cycle in the
-    minplus reading.
+    A budget of n+1 update passes is enough whenever the series stabilizes
+    at all (path weights stop improving after n-1 steps); running out of
+    budget signals genuine divergence, e.g. a negative cycle in the minplus
+    reading.
     """
     _require_idempotent(A.spec, "kleene_star")
     if A.rows != A.cols:
         raise ShapeMismatch(f"kleene_star needs a square matrix, got {A.shape}")
     n = A.rows
-    budget = n + 1 if max_iter is None else int(max_iter)
     eye = SemiringMatrix.identity(n, A.spec)
     S = eye
-    for _ in range(budget):
+    for _ in range(n + 1):
         nxt = matrix_add(eye, matrix_mul(A, S))
         if nxt == S:
             return S
         S = nxt
-    raise NonConvergent(f"no fixpoint after {budget} iterations")
+    raise NonConvergent(f"no fixpoint after {n + 1} iterations")
 
 
 def _check_system(H: SemiringMatrix, F: SemiringMatrix) -> int:

@@ -24,10 +24,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NotIdempotent
+from .errors import DomainError, NotIdempotent, SpecMismatch
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+# Float64 elements per pairwise temporary in _reduce_rows: 256 KiB, which
+# stays in L2 whatever the size of the problem.
+_BLOCK = 1 << 15
+
+
+def _positive_finite(x, what: str) -> float:
+    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
+        raise DomainError(f"{what} must be a positive finite real, got {x!r}")
+    return float(x)
 
 
 def deformed_add(u, v, h):
@@ -37,8 +47,7 @@ def deformed_add(u, v, h):
     returns exactly max(u,v) + h*ln(2) when u == v.  Accepts scalars or
     arrays; -inf is neutral and never produces a NaN.
     """
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
-        raise DomainError(f"deformation parameter must be a positive finite real, got {h!r}")
+    h = _positive_finite(h, "deformation parameter")
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
     hi = np.maximum(ua, va)
@@ -218,9 +227,7 @@ NONNEG = SemiringSpec(
 
 def deformed_spec(h: float) -> SemiringSpec:
     """The semiring (R u {-inf}, (+)_h, +) for a fixed h > 0."""
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
-        raise DomainError(f"deformation parameter must be a positive finite real, got {h!r}")
-    h = float(h)
+    h = _positive_finite(h, "deformation parameter")
     return SemiringSpec(
         name=f"deformed:{h:.17g}",
         add=lambda a, b: deformed_add(a, b, h),
@@ -259,6 +266,29 @@ def get_semiring(name: str) -> SemiringSpec:
     if name in _REGISTRY:
         return _REGISTRY[name]
     raise ValueError(f"unknown semiring id {name!r}")
+
+
+# --- helpers shared by the matrix and function modules ---------------------
+
+
+def _same_spec(x, y) -> SemiringSpec:
+    if x.spec.name != y.spec.name:
+        raise SpecMismatch(f"mixed semirings: {x.spec.name} vs {y.spec.name}")
+    return x.spec
+
+
+def _reduce_rows(spec: SemiringSpec, out: np.ndarray, width: int, term: Callable) -> None:
+    """Fill out[s] = spec.add_reduce(term(s), axis=1) for consecutive row slices s.
+
+    term(s) builds the pairwise array of the rows in s, width elements per
+    row.  A slice takes as many rows as fit in _BLOCK elements, at least one,
+    so the temporary stays bounded; each output row is still reduced whole,
+    through the same float operations as a single unblocked reduction.
+    """
+    rows = max(1, _BLOCK // max(1, width))
+    for lo in range(0, out.shape[0], rows):
+        s = slice(lo, lo + rows)
+        out[s] = spec.add_reduce(term(s), axis=1)
 
 
 # --- scalar operations with domain checking --------------------------------

@@ -19,8 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatch
+from .semiring import MAXPLUS, MINPLUS, _reduce_rows
 
-_CONVENTIONS = ("maxplus", "minplus")
+# The idempotent semiring each convention integrates in.
+_SPECS = {"maxplus": MAXPLUS, "minplus": MINPLUS}
+
+
+def _check_grid(start, step, count: int):
+    """(start, step) as floats, if all count >= 1 points of the grid are finite."""
+    start, step = float(start), float(step)
+    # the last point is finite only if start and step are (inf * 0 is NaN)
+    if not (step > 0 and math.isfinite(start + step * (count - 1))):
+        raise DomainError(f"bad grid: start={start!r} step={step!r} count={count}")
+    return start, step
 
 
 @dataclass(frozen=True)
@@ -33,19 +44,15 @@ class SampledFunction:
     convention: str = "maxplus"
 
     def __post_init__(self):
-        start = float(self.start)
-        step = float(self.step)
-        if not (math.isfinite(start) and math.isfinite(step) and step > 0):
-            raise DomainError(f"bad grid: start={self.start!r} step={self.step!r}")
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise DomainError("values must be a nonempty 1-D array")
-        if self.convention not in _CONVENTIONS:
-            raise DomainError(f"convention must be one of {_CONVENTIONS}")
+        start, step = _check_grid(self.start, self.step, vals.size)
+        if self.convention not in _SPECS:
+            raise DomainError(f"convention must be one of {tuple(_SPECS)}")
         if np.any(np.isnan(vals)):
             raise DomainError("NaN is not a carrier value")
-        bad = np.isposinf(vals) if self.convention == "maxplus" else np.isneginf(vals)
-        if np.any(bad):
+        if not np.all(_SPECS[self.convention].contains(vals)):
             raise DomainError(f"{self.convention} functions cannot take that infinity")
         vals = vals + 0.0
         vals.setflags(write=False)
@@ -73,14 +80,6 @@ class SampledFunction:
         return hash((self.start, self.step, self.convention, self.values.tobytes()))
 
 
-def _extremum(convention):
-    return np.max if convention == "maxplus" else np.min
-
-
-def _reduce_axis(convention):
-    return (lambda a: a.max(axis=1)) if convention == "maxplus" else (lambda a: a.min(axis=1))
-
-
 def _same_grid(phi: SampledFunction, psi: SampledFunction) -> None:
     if phi.convention != psi.convention:
         raise GridMismatch(f"mixed conventions: {phi.convention} vs {psi.convention}")
@@ -90,20 +89,20 @@ def _same_grid(phi: SampledFunction, psi: SampledFunction) -> None:
 
 def idempotent_integral(phi: SampledFunction) -> float:
     """Integral with values in the idempotent semiring: the grid extremum."""
-    return float(_extremum(phi.convention)(phi.values)) + 0.0
+    return float(_SPECS[phi.convention].add_reduce(phi.values, axis=0)) + 0.0
 
 
 def integral_wrt_measure(phi: SampledFunction, psi: SampledFunction) -> float:
     """Integral of phi against the density psi: extremum of phi + psi."""
     _same_grid(phi, psi)
-    return float(_extremum(phi.convention)(phi.values + psi.values)) + 0.0
+    return float(_SPECS[phi.convention].add_reduce(phi.values + psi.values, axis=0)) + 0.0
 
 
 def pointwise_add(phi: SampledFunction, psi: SampledFunction) -> SampledFunction:
     """(+) of functions: pointwise max (or min)."""
     _same_grid(phi, psi)
-    op = np.maximum if phi.convention == "maxplus" else np.minimum
-    return SampledFunction(phi.start, phi.step, op(phi.values, psi.values), phi.convention)
+    values = _SPECS[phi.convention].add(phi.values, psi.values)
+    return SampledFunction(phi.start, phi.step, values, phi.convention)
 
 
 def scalar_mul(c: float, phi: SampledFunction) -> SampledFunction:
@@ -125,15 +124,13 @@ def convolution(phi: SampledFunction, psi: SampledFunction) -> SampledFunction:
         raise GridMismatch(f"mixed conventions: {phi.convention} vs {psi.convention}")
     if phi.step != psi.step:
         raise GridMismatch(f"mixed steps: {phi.step!r} vs {psi.step!r}")
-    red = _extremum(phi.convention)
-    a, b = phi.values, psi.values
-    rev = b[::-1]
+    spec = _SPECS[phi.convention]
+    # one Python step per sample of the shorter operand
+    a, b = sorted((phi.values, psi.values), key=len)
     nb = b.size
-    out = np.empty(a.size + b.size - 1)
-    for k in range(out.size):
-        i0 = max(0, k - nb + 1)
-        i1 = min(a.size - 1, k)
-        out[k] = red(a[i0 : i1 + 1] + rev[nb - 1 - k + i0 : nb - k + i1])
+    out = np.full(a.size + nb - 1, spec.zero)
+    for i in range(a.size):
+        spec.add(out[i : i + nb], a[i] + b, out=out[i : i + nb])
     return SampledFunction(phi.start + psi.start, phi.step, out, phi.convention)
 
 
@@ -151,17 +148,11 @@ def legendre(
     xi_count = int(xi_count)
     if xi_count < 1:
         raise DomainError("need at least one output sample")
-    xi_start = float(xi_start)
-    xi_step = float(xi_step)
-    if not (math.isfinite(xi_start) and math.isfinite(xi_step) and xi_step > 0):
-        raise DomainError(f"bad grid: start={xi_start!r} step={xi_step!r}")
+    xi_start, xi_step = _check_grid(xi_start, xi_step, xi_count)
     xs = phi.grid()
     xis = xi_start + xi_step * np.arange(xi_count)
     out = np.empty(xi_count)
-    block = max(1, 2_000_000 // xs.size)
-    for lo in range(0, xi_count, block):
-        chunk = xis[lo : lo + block, None] * xs[None, :] + phi.values[None, :]
-        out[lo : lo + block] = chunk.max(axis=1)
+    _reduce_rows(MAXPLUS, out, xs.size, lambda s: xis[s, None] * xs[None, :] + phi.values)
     return SampledFunction(xi_start, xi_step, out, "maxplus")
 
 
@@ -183,10 +174,11 @@ def hopf_lax_evolve(s0: SampledFunction, t: float, m: float = 1.0) -> SampledFun
         raise DomainError(f"mass must be a positive real, got {m!r}")
     ys = s0.grid()
     c = m / (2.0 * t)
-    out = np.empty(len(s0))
-    block = max(1, 2_000_000 // ys.size)
-    for lo in range(0, len(s0), block):
-        diff = ys[lo : lo + block, None] - ys[None, :]
-        chunk = s0.values[None, :] + c * (diff * diff)
-        out[lo : lo + block] = chunk.min(axis=1)
+    out = np.empty(ys.size)
+
+    def term(s):
+        diff = ys[s, None] - ys[None, :]
+        return s0.values + c * (diff * diff)
+
+    _reduce_rows(MINPLUS, out, ys.size, term)
     return SampledFunction(s0.start, s0.step, out, "minplus")

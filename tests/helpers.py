@@ -52,6 +52,12 @@ def dijkstra(n, edges, source):
     return dist
 
 
+def one_shot_product(A, B):
+    """A (x) B over A's semiring as one (n, k, m) reduction, unblocked."""
+    spec = A.spec
+    return spec.add_reduce(spec.mul(A.data[:, :, None], B.data[None]), axis=1)
+
+
 def dyadic(rng, size=None, lo=-8.0, hi=8.0, grain=64):
     """Uniform multiples of 1/grain; sums of a few stay exact in float64."""
     draw = rng.integers(int(lo * grain), int(hi * grain), size=size, endpoint=True)

@@ -1,11 +1,8 @@
 """End-to-end runs of the installed command line tool.
 
-Each case pins the exact output bytes under golden/, and every case runs
-under TROPIKIT_THREADS=1 and =4 to check the artifact does not depend on
-the parallelism cap.
+Each case pins the exact output bytes under golden/.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,16 +14,8 @@ DATA = ROOT / "data"
 GOLDEN = ROOT / "golden"
 
 
-def run_cli(argv, threads=None):
-    env = dict(os.environ)
-    env.pop("TROPIKIT_THREADS", None)
-    if threads is not None:
-        env["TROPIKIT_THREADS"] = threads
-    return subprocess.run(
-        [sys.executable, "-m", "tropikit", *argv],
-        capture_output=True,
-        env=env,
-    )
+def run_cli(argv):
+    return subprocess.run([sys.executable, "-m", "tropikit", *argv], capture_output=True)
 
 
 CASES = [
@@ -53,9 +42,8 @@ CASES = [
 
 
 @pytest.mark.parametrize("golden,argv", CASES, ids=[c[0] for c in CASES])
-@pytest.mark.parametrize("threads", ["1", "4"])
-def test_golden_outputs_are_byte_identical(golden, argv, threads):
-    r = run_cli(argv, threads=threads)
+def test_golden_outputs_are_byte_identical(golden, argv):
+    r = run_cli(argv)
     assert r.returncode == 0, r.stderr
     assert r.stderr == b""
     assert r.stdout == (GOLDEN / golden).read_bytes()
@@ -109,10 +97,3 @@ def test_usage_errors_exit_2():
     assert run_cli(["axioms", "--semiring", "deformed:-1"]).returncode == 2
     assert run_cli(["hopflax", "--input", str(DATA / "s0.txt"), "--t", "-1"]).returncode == 2
     assert run_cli(["amoeba", "--h", "0"]).returncode == 2
-
-
-def test_invalid_threads_var_warns_but_succeeds():
-    r = run_cli(["dequant-demo", "--u", "0", "--v", "0"], threads="abc")
-    assert r.returncode == 0
-    assert b"TROPIKIT_THREADS" in r.stderr
-    assert r.stdout == (GOLDEN / "dequant_demo.txt").read_bytes()

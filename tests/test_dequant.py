@@ -100,6 +100,16 @@ def test_eval_dequantized_input_checks():
         eval_dequantized(f, (1.0, 2.0), 1.0)
 
 
+def test_eval_dequantized_rejects_overflowing_exponents():
+    f = GenPolynomial(1, ((1.0, (1,)), (1.0, (0,))))
+    with pytest.raises(DomainError):
+        eval_dequantized(f, (1e300,), 1e-10)  # x/h overflows to inf
+    with pytest.raises(DomainError):
+        eval_dequantized(f, (1.0,), 1e-320)  # 1/h overflows to inf
+    # a non-leading exponent at -inf contributes exp(-inf) = 0 exactly
+    assert eval_dequantized(f, (-1e300,), 1e-10) == 0.0
+
+
 def test_dequantize_limit_is_support_maximum():
     f = GenPolynomial(2, ((1.0, (1, 0)), (1.0, (0, 1)), (1.0, (0, 0))))
     assert dequantize_limit(f, (2.0, 1.0)) == 2.0

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import bellman_ford, dijkstra
+from helpers import bellman_ford, dijkstra, one_shot_product
 
 from tropikit import (
     MAXMIN,
@@ -17,6 +18,7 @@ from tropikit import (
     ShapeMismatch,
     SpecMismatch,
     adjacency_matrix,
+    get_semiring,
     kleene_star,
     leq,
     matrix_add,
@@ -74,6 +76,31 @@ def test_matrix_ops_across_semirings():
     got = matrix_mul(SemiringMatrix(X, MAXMIN), SemiringMatrix(Y, MAXMIN))
     want = np.minimum(X[:, :, None], Y[None, :, :]).max(axis=1)
     assert np.array_equal(got.data, want)
+
+
+@pytest.mark.parametrize("name", ["bool", "maxplus", "minplus", "maxmin", "nonneg", "deformed:0.5"])
+@pytest.mark.parametrize("n,k,m", [(64, 64, 64), (600, 600, 1), (3, 200, 200)])
+def test_matrix_mul_equals_one_shot_product_bitwise(name, n, k, m):
+    # each shape spans several row blocks, or rows wider than one block
+    spec = get_semiring(name)
+    rng = np.random.default_rng(n + k + m)
+    A = SemiringMatrix(spec.sample(rng, (n, k)), spec)
+    B = SemiringMatrix(spec.sample(rng, (k, m)), spec)
+    got = matrix_mul(A, B).data
+    want = one_shot_product(A, B) + 0.0
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_matrix_mul_temporary_memory_is_bounded():
+    rng = np.random.default_rng(5)
+    A = SemiringMatrix(MINPLUS.sample(rng, (300, 300)), MINPLUS)
+    tracemalloc.start()
+    try:
+        matrix_mul(A, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_identity_is_neutral():

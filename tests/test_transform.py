@@ -126,8 +126,11 @@ def test_convolution_matches_brute_force():
     rng = np.random.default_rng(64)
     for conv in ("maxplus", "minplus"):
         red = max if conv == "maxplus" else min
-        for _ in range(25):
-            na, nb = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+        for trial in range(26):
+            if trial < 25:
+                na, nb = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+            else:  # a short operand folded over a long one
+                na, nb = 300, 7
             a, b = dyadic(rng, na), dyadic(rng, nb)
             out = convolution(grid_fn(0.0, 1.0, a, conv), grid_fn(0.0, 1.0, b, conv))
             for k in range(na + nb - 1):
@@ -227,6 +230,16 @@ def test_legendre_requires_maxplus():
         legendre(grid_fn(0.0, 1.0, [0.0]), 0.0, -1.0, 3)
     with pytest.raises(DomainError):
         legendre(grid_fn(0.0, 1.0, [0.0]), 0.0, 1.0, 0)
+
+
+def test_grids_reaching_infinity_are_rejected():
+    # start and step are finite, but start + 2*step overflows to inf
+    with pytest.raises(DomainError, match="bad grid"):
+        grid_fn(-1e308, 1e308, [0.0, 1.0, 2.0])
+    with pytest.raises(DomainError, match="bad grid"):
+        legendre(grid_fn(0.0, 1.0, [0.0, 1.0]), -1e308, 1e308, 3)
+    # the same grid one point shorter ends at 0 and is fine
+    assert np.array_equal(grid_fn(-1e308, 1e308, [0.0, 1.0]).grid(), [-1e308, 0.0])
 
 
 # --- Hamilton-Jacobi evolution ---------------------------------------------------
