@@ -41,7 +41,9 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("golden,argv", CASES, ids=[c[0] for c in CASES])
+# The "1-" prefix is the id these cases had when they also ran with a
+# 4-thread cap; keeping it keeps each case's test history under one name.
+@pytest.mark.parametrize("golden,argv", CASES, ids=[f"1-{c[0]}" for c in CASES])
 def test_golden_outputs_are_byte_identical(golden, argv):
     r = run_cli(argv)
     assert r.returncode == 0, r.stderr
