@@ -35,9 +35,10 @@ assert solve_bellman_jacobi(H, F) == solve_bellman_gauss_seidel(H, F) == kleene_
 print("\nJacobi, Gauss-Seidel and the star closure agree.")
 
 # With a negative cycle there is no least solution: costs can be pumped
-# down forever.  The solver reports it instead of looping.
+# down forever.  The solver reports it, naming one such cycle.
 bad = Graph(3, ((0, 1, 1.0), (1, 2, -3.0), (2, 1, 1.0)))
 try:
     shortest_paths(bad)
 except NegativeCycle as e:
     print("negative cycle detected:", e)
+    assert e.cycle == (1, 2)

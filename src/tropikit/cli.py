@@ -3,7 +3,8 @@
 Every subcommand reads plain-text inputs, writes one plain-text artifact to
 --output (default stdout), and is deterministic byte for byte.  Exit codes:
 0 on success, 1 for a library error (one line `ERROR <code>: <message>` on
-stderr), 2 for usage or input-parse errors.
+stderr; running out of memory is the library error OutOfMemory), 2 for usage
+or input-parse errors.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .dequant import (
     newton_set,
     tropical_curve_2d,
 )
-from .errors import FileFormatError, TropikitError
+from .errors import FileFormatError, OutOfMemory, TropikitError
 from .interval import IntervalMatrix, interval_adjacency, interval_bellman
 from .linalg import (
     SemiringMatrix,
@@ -215,11 +216,18 @@ _HANDLERS = {
 }
 
 
+def _run(args) -> str:
+    try:
+        return _HANDLERS[args.command](args)
+    except MemoryError as e:
+        raise OutOfMemory(f"{args.command}: {str(e) or 'allocation failed'}") from None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text = _HANDLERS[args.command](args)
+        text = _run(args)
     except FileFormatError as e:
         print(f"ERROR FileFormatError: {e}", file=sys.stderr)
         return 2

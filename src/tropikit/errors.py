@@ -34,7 +34,20 @@ class NonConvergent(TropikitError):
 
 
 class NegativeCycle(NonConvergent):
-    """Shortest-path weights are unbounded below (a negative-weight cycle exists)."""
+    """Shortest-path weights are unbounded below (a negative-weight cycle exists).
+
+    ``cycle`` is a witness: a tuple of node ids whose consecutive arcs, the
+    last back to the first included, are graph edges of negative total
+    weight; it is empty only when float rounding hides every such cycle.
+    """
+
+    def __init__(self, message, endpoint=None, cycle=()):
+        super().__init__(message, endpoint)
+        self.cycle = tuple(cycle)
+
+
+class OutOfMemory(TropikitError):
+    """A computation could not allocate the memory it needs."""
 
 
 class GridMismatch(TropikitError):

@@ -9,6 +9,7 @@ shift by) already-computed floats, so fixpoint detection is exact equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,25 +106,79 @@ def _require_idempotent(spec: SemiringSpec, what: str) -> None:
 
 
 def kleene_star(A: SemiringMatrix) -> SemiringMatrix:
-    """A* = I (+) A (+) A^2 (+) ..., detected by exact stabilization.
+    """A* = I (+) A (+) A^2 (+) ..., by Kleene's elimination in O(n^3).
 
-    A budget of n+1 update passes is enough whenever the series stabilizes
-    at all (path weights stop improving after n-1 steps); running out of
-    budget signals genuine divergence, e.g. a negative cycle in the minplus
-    reading.
+    Starting from S = A (+) I, each node k in turn becomes a pivot: first
+    the divergence condition is checked, then the rank-1 update
+    S <- S (+) S[:, k] (x) S[k, :] admits paths through k.  The star
+    exists exactly when every pivot satisfies S[k, k] (+) one == one,
+    i.e. no cycle through k is better than one: a negative cycle in
+    minplus, a positive one in maxplus, never in bool or maxmin.  The first
+    pivot that fails raises NonConvergent.  A custom spec is held to the
+    same contract, using only its ``add`` and ``mul``.
+
+    Path weights that leave the finite float64 range raise DomainError; a
+    cycle whose weight overflows past every float is a divergent one.
     """
     _require_idempotent(A.spec, "kleene_star")
     if A.rows != A.cols:
         raise ShapeMismatch(f"kleene_star needs a square matrix, got {A.shape}")
-    n = A.rows
-    eye = SemiringMatrix.identity(n, A.spec)
-    S = eye
-    for _ in range(n + 1):
-        nxt = matrix_add(eye, matrix_mul(A, S))
-        if nxt == S:
-            return S
-        S = nxt
-    raise NonConvergent(f"no fixpoint after {n + 1} iterations")
+    spec, one = A.spec, A.spec.one
+    S = A.data.copy()
+    np.fill_diagonal(S, spec.add(np.diag(S), one))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(A.rows):
+            d = S[k, k]
+            if spec.add(d, one) != one:
+                if np.isnan(d):  # inf - inf after an overflow: no cycle to blame
+                    break
+                raise NonConvergent(
+                    f"the star diverges: a cycle through node {k} has weight "
+                    f"{float(d)!r}, better than one ({one!r})"
+                )
+            S = spec.add(S, spec.mul(S[:, k, None], S[None, k, :]))
+    try:
+        return SemiringMatrix(S, spec)
+    except DomainError:
+        raise DomainError("kleene_star: a path weight overflows float64") from None
+
+
+def _negative_cycle(W: np.ndarray) -> tuple:
+    """Nodes of a simple cycle of negative weight in the minplus edge matrix W.
+
+    Value iteration from a virtual source: after n rounds, a node whose
+    distance still fell ends a least n-arc walk, and any cycle on that
+    walk is negative.  O(n^3), run only once divergence is known.  Weights
+    are scaled by a power of two first, so no n-arc sum overflows; returns
+    () if float rounding hides the cycle.
+    """
+    n = W.shape[0]
+    W = np.ldexp(W, -n.bit_length())
+    dist = np.zeros(n)
+    pred = np.full((n, n), -1)
+    for t in range(n):
+        cand = dist[:, None] + W
+        best = cand.min(axis=0)
+        fell = best < dist
+        pred[t] = np.where(fell, cand.argmin(axis=0), -1)
+        dist = np.where(fell, best, dist)
+    walk = [int(np.argmax(fell))]
+    for t in range(n - 1, -1, -1):
+        if pred[t, walk[-1]] >= 0:
+            walk.append(int(pred[t, walk[-1]]))
+    walk.reverse()
+    seen = {}
+    for j, v in enumerate(walk):
+        if v in seen:
+            cycle = walk[seen[v]:j]
+            break
+        seen[v] = j
+    else:
+        return ()
+    if math.fsum(W[u, v] for u, v in zip(cycle, cycle[1:] + cycle[:1])) >= 0:
+        return ()
+    i = cycle.index(min(cycle))
+    return tuple(cycle[i:] + cycle[:i])
 
 
 def _check_system(H: SemiringMatrix, F: SemiringMatrix) -> int:
@@ -213,8 +268,14 @@ def shortest_paths(g: Graph) -> SemiringMatrix:
     """All-pairs least path weights: the minplus star of the edge matrix.
 
     Entry (i, j) is the least weight of any i -> j path, the diagonal is 0.
+    A negative cycle raises NegativeCycle with the cycle as its witness.
     """
+    A = adjacency_matrix(g, MINPLUS)
     try:
-        return kleene_star(adjacency_matrix(g, MINPLUS))
+        return kleene_star(A)
     except NonConvergent:
-        raise NegativeCycle("path weights are unbounded below (negative cycle)") from None
+        cycle = _negative_cycle(A.data)
+        msg = "path weights are unbounded below: negative cycle"
+        if cycle:
+            msg += " " + " -> ".join(map(str, cycle + cycle[:1]))
+        raise NegativeCycle(msg, cycle=cycle) from None

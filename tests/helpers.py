@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from tropikit import NonConvergent, SemiringMatrix
+
 INF = math.inf
 
 
@@ -30,6 +32,18 @@ def bellman_ford(n, edges, source):
         if dist[s] + w < dist[d]:
             return None
     return dist
+
+
+def is_negative_cycle(edges, cycle):
+    """True when cycle names distinct nodes whose consecutive arcs, the last
+    back to the first included, are edges of negative total weight (the
+    least weight of each arc's parallel edges)."""
+    best = {}
+    for s, d, w in edges:
+        best[s, d] = min(w, best.get((s, d), INF))
+    arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
+    return (len(cycle) > 0 and len(set(cycle)) == len(cycle)
+            and all(a in best for a in arcs) and math.fsum(best[a] for a in arcs) < 0)
 
 
 def dijkstra(n, edges, source):
@@ -56,6 +70,24 @@ def one_shot_product(A, B):
     """A (x) B over A's semiring as one (n, k, m) reduction, unblocked."""
     spec = A.spec
     return spec.add_reduce(spec.mul(A.data[:, :, None], B.data[None]), axis=1)
+
+
+def stabilized_star(A):
+    """A* by repeating S <- I (+) A (x) S from S = I until S stops changing.
+
+    A budget of n+1 passes is enough whenever the series stabilizes at all
+    (path weights stop improving after n-1 steps); running out of budget
+    raises NonConvergent.  O(n^4): the reference for the elimination.
+    """
+    spec, n = A.spec, A.rows
+    eye = SemiringMatrix.identity(n, spec)
+    S = eye
+    for _ in range(n + 1):
+        nxt = SemiringMatrix(spec.add(eye.data, one_shot_product(A, S)), spec)
+        if nxt == S:
+            return S
+        S = nxt
+    raise NonConvergent(f"no fixpoint after {n + 1} iterations")
 
 
 def dyadic(rng, size=None, lo=-8.0, hi=8.0, grain=64):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import bellman_ford, dijkstra, dyadic, segment_1d
+from helpers import bellman_ford, dijkstra, dyadic, is_negative_cycle, segment_1d
 from test_cli import CASES, GOLDEN, run_cli
 
 from tropikit import (
@@ -160,8 +160,10 @@ def test_criterion_04_negative_cycle_detection(gate):
                 extra.append((int(cyc[i]), int(cyc[(i + 1) % k]), 0.0))
             extra[-1] = (extra[-1][0], extra[-1][1], -1.0)
             g = Graph(n, g.edges + tuple(extra))
-            with pytest.raises(NegativeCycle):
-                shortest_paths(g)  # budget is n + 1 iterations
+            with pytest.raises(NegativeCycle) as exc:
+                shortest_paths(g)  # found at the first pivot on a negative cycle
+            # the witness is a simple cycle of graph arcs with negative weight
+            assert is_negative_cycle(g.edges, exc.value.cycle)
 
 
 def test_criterion_05_interval_exactness_and_containment(gate):

@@ -5,9 +5,12 @@ Each case pins the exact output bytes under golden/.
 
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+
+from tropikit import cli
 
 ROOT = Path(__file__).resolve().parent
 DATA = ROOT / "data"
@@ -70,6 +73,35 @@ def test_negative_cycle_exits_1():
     assert r.returncode == 1
     assert r.stdout == b""
     assert r.stderr.startswith(b"ERROR NegativeCycle:")
+    # one line that names the cycle
+    assert r.stderr.count(b"\n") == 1
+    assert b"1 -> 2 -> 1" in r.stderr
+
+
+def test_overflowing_star_is_one_error_line():
+    # weights that overflow float64 along a path, with and without a cycle
+    for edges, name in (("0 1 -1e308\n1 0 -1e308\n", b"NegativeCycle"),
+                        ("0 1 -1e308\n1 2 -1e308\n", b"DomainError")):
+        with tempfile.TemporaryDirectory() as tmp:
+            graph = Path(tmp) / "g.txt"
+            graph.write_text("n 3\n" + edges)
+            r = run_cli(["sp", "--graph", str(graph)])
+        assert r.returncode == 1
+        assert r.stdout == b""
+        assert r.stderr.startswith(b"ERROR " + name + b":")
+        assert r.stderr.count(b"\n") == 1
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 2.68 GiB for an array")
+
+    monkeypatch.setitem(cli._HANDLERS, "sp", exhausted)
+    assert cli.main(["sp", "--graph", str(DATA / "graph.txt")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ERROR OutOfMemory:")
+    assert err.count("\n") == 1
 
 
 def test_library_error_exits_1():

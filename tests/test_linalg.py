@@ -1,15 +1,27 @@
 import math
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import bellman_ford, dijkstra, one_shot_product
+from helpers import (
+    bellman_ford,
+    dijkstra,
+    is_negative_cycle,
+    one_shot_product,
+    stabilized_star,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropikit import (
+    BOOL,
     MAXMIN,
     MAXPLUS,
     MINPLUS,
     NONNEG,
+    DomainError,
     Graph,
     NegativeCycle,
     NonConvergent,
@@ -17,6 +29,7 @@ from tropikit import (
     SemiringMatrix,
     ShapeMismatch,
     SpecMismatch,
+    TropikitError,
     adjacency_matrix,
     get_semiring,
     kleene_star,
@@ -27,8 +40,10 @@ from tropikit import (
     solve_bellman_gauss_seidel,
     solve_bellman_jacobi,
 )
+from tropikit.fileio import parse_graph, read_text
 
 INF = math.inf
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def minplus_mat(rows):
@@ -124,6 +139,82 @@ def test_kleene_star_of_zero_matrix_is_identity():
 def test_kleene_star_negative_cycle_diverges():
     with pytest.raises(NonConvergent):
         kleene_star(minplus_mat([[-1.0]]))
+
+
+def _integer_matrix(rng, spec, n, lo, hi):
+    if spec is BOOL:
+        return SemiringMatrix(rng.integers(0, 2, (n, n)).astype(float), spec)
+    w = rng.integers(lo, hi + 1, (n, n)).astype(float)
+    return SemiringMatrix(np.where(rng.random((n, n)) < 0.5, spec.zero, w), spec)
+
+
+@pytest.mark.parametrize("spec", [BOOL, MAXPLUS, MINPLUS, MAXMIN], ids=lambda s: s.name)
+def test_kleene_star_is_bitwise_the_stabilized_series(spec):
+    # weights of one sign make every cycle absorbed by one; mixed signs
+    # make most larger matrices diverge under maxplus and minplus
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    for n in range(1, 41):
+        for lo, hi in ((0, 9), (-9, 0), (-9, 9)):
+            A = _integer_matrix(rng, spec, n, lo, hi)
+            try:
+                want = stabilized_star(A)
+            except NonConvergent:
+                with pytest.raises(NonConvergent):
+                    kleene_star(A)
+                outcomes.add("diverged")
+                continue
+            got = kleene_star(A).data.view(np.int64)
+            assert np.array_equal(got, want.data.view(np.int64)), (n, lo, hi)
+            outcomes.add("converged")
+    divergent = spec in (MAXPLUS, MINPLUS)
+    assert outcomes == ({"converged", "diverged"} if divergent else {"converged"})
+
+
+def test_kleene_star_overflowing_cycle_diverges_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergent):
+            kleene_star(minplus_mat([[INF, -1e308], [-1e308, INF]]))
+        with pytest.raises(NonConvergent):
+            kleene_star(SemiringMatrix([[-INF, 1e308], [1e308, -INF]], MAXPLUS))
+        with pytest.raises(NegativeCycle) as exc:
+            shortest_paths(Graph(2, ((0, 1, -1e308), (1, 0, -1e308))))
+    assert exc.value.cycle == (0, 1)
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 1, -1e308), (1, 2, -1e308)),
+    # -inf + inf lands on the diagonal of the last pivot as NaN
+    ((3, 0, 0.0), (0, 1, -1e308), (1, 2, -1e308)),
+])
+def test_kleene_star_overflow_on_a_convergent_star_is_a_domain_error(edges):
+    dag = Graph(4, edges)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflow"):
+            kleene_star(adjacency_matrix(dag, MINPLUS))
+        with pytest.raises(DomainError, match="overflow"):
+            shortest_paths(dag)
+
+
+_EXTREMES = st.sampled_from([1e308, -1e308]) | st.integers(-5, 5).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([BOOL, MAXPLUS, MINPLUS, MAXMIN]), st.integers(1, 6), st.data())
+def test_kleene_star_never_leaves_the_carrier_silently(spec, n, data):
+    cells = st.just(spec.zero) | (st.sampled_from([0.0, 1.0]) if spec is BOOL else _EXTREMES)
+    A = SemiringMatrix(data.draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                                          min_size=n, max_size=n)), spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            S = kleene_star(A)
+        except TropikitError:
+            return
+    assert not np.any(np.isnan(S.data))
+    assert np.all(spec.contains(S.data))
 
 
 def test_kleene_star_requires_idempotent_addition():
@@ -261,6 +352,34 @@ def test_negative_cycle_detected():
     # a persistently negative self-loop counts too
     with pytest.raises(NegativeCycle):
         shortest_paths(Graph(2, ((0, 0, -1.0), (0, 1, 1.0))))
+
+
+def test_negative_cycle_witness():
+    g = parse_graph(read_text(DATA / "graph_negcycle.txt"))
+    with pytest.raises(NegativeCycle) as exc:
+        shortest_paths(g)
+    assert exc.value.cycle == (1, 2)
+    assert "1 -> 2 -> 1" in str(exc.value)
+    assert "\n" not in str(exc.value)
+    assert is_negative_cycle(g.edges, exc.value.cycle)
+    g = Graph(2, ((0, 0, -1.0), (0, 1, 1.0)))
+    with pytest.raises(NegativeCycle) as exc:
+        shortest_paths(g)
+    assert exc.value.cycle == (0,)
+    # random graphs with self-loops, parallel edges and mixed signs
+    rng = np.random.default_rng(22)
+    found = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 16))
+        edges = [(int(s), int(d), float(rng.integers(-3, 10)))
+                 for s, d in rng.integers(0, n, (3 * n, 2))]
+        g = Graph(n, tuple(edges))
+        try:
+            shortest_paths(g)
+        except NegativeCycle as e:
+            assert is_negative_cycle(g.edges, e.cycle)
+            found += 1
+    assert 20 < found < 180  # both outcomes occur
 
 
 def test_parallel_edges_combine():
