@@ -24,6 +24,14 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _float_lines(a: np.ndarray, sep: str) -> list:
+    """One line per row of the 2-D array a: fmt_float of each entry, joined
+    by sep.  One %-format per row, of that row's tolist() floats only, so no
+    Python float outlives its row."""
+    line = sep.join(["%.17g"] * a.shape[1])
+    return [line % tuple(row.tolist()) for row in a]
+
+
 def parse_float(tok: str) -> float:
     try:
         x = float(tok)
@@ -111,8 +119,7 @@ def int_token(tok: str, ln: int) -> int:
 
 
 def format_matrix(M: SemiringMatrix) -> str:
-    rows = ["\t".join(fmt_float(v) for v in row) for row in M.data]
-    return "\n".join(rows) + "\n"
+    return "\n".join(_float_lines(M.data, "\t")) + "\n"
 
 
 def parse_matrix(text: str, spec: SemiringSpec) -> SemiringMatrix:
@@ -132,14 +139,9 @@ def parse_matrix(text: str, spec: SemiringSpec) -> SemiringMatrix:
 
 def format_interval_matrix(M: IntervalMatrix) -> str:
     lo, hi = M.numeric_bounds()
-    out = []
-    for i in range(lo.shape[0]):
-        cells = []
-        for j in range(lo.shape[1]):
-            cells.append(fmt_float(lo[i, j]))
-            cells.append(fmt_float(hi[i, j]))
-        out.append("\t".join(cells))
-    return "\n".join(out) + "\n"
+    # each row interleaves lower and upper bounds: lo[i, 0], hi[i, 0], lo[i, 1], ...
+    cells = np.stack((lo, hi), axis=2).reshape(lo.shape[0], 2 * lo.shape[1])
+    return "\n".join(_float_lines(cells, "\t")) + "\n"
 
 
 def parse_interval_matrix(text: str, spec: SemiringSpec) -> IntervalMatrix:
@@ -261,10 +263,7 @@ _POINTS_HEADER = "x,y"
 
 def format_points(arr) -> str:
     arr = np.asarray(arr, dtype=float)
-    out = [_POINTS_HEADER]
-    for row in arr:
-        out.append(",".join(fmt_float(v) for v in row))
-    return "\n".join(out) + "\n"
+    return "\n".join([_POINTS_HEADER, *_float_lines(arr, ",")]) + "\n"
 
 
 def parse_points(text: str) -> np.ndarray:
@@ -285,7 +284,8 @@ def parse_points(text: str) -> np.ndarray:
 
 def format_function(f: SampledFunction) -> str:
     head = f"start {fmt_float(f.start)} step {fmt_float(f.step)} convention {f.convention}"
-    return "\n".join([head] + [fmt_float(v) for v in f.values]) + "\n"
+    # the bytes of fmt_float: each np.float64 is a Python float
+    return "\n".join([head, *map("%.17g".__mod__, f.values)]) + "\n"
 
 
 def parse_function(text: str) -> SampledFunction:

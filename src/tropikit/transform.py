@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatch
-from .semiring import MAXPLUS, MINPLUS, _reduce_rows
+from .semiring import MAXPLUS, MINPLUS
 
 # The idempotent semiring each convention integrates in.
 _SPECS = {"maxplus": MAXPLUS, "minplus": MINPLUS}
@@ -118,7 +118,8 @@ def convolution(phi: SampledFunction, psi: SampledFunction) -> SampledFunction:
 
     Grids must share step and convention; the output grid spans
     [start_phi + start_psi, end_phi + end_psi] at the same step.  A single
-    sample at 0 with value 0 is the unit.
+    sample at 0 with value 0 is the unit.  DomainError if a winning
+    phi(x) + psi(g - x) overflows.
     """
     if phi.convention != psi.convention:
         raise GridMismatch(f"mixed conventions: {phi.convention} vs {psi.convention}")
@@ -129,9 +130,87 @@ def convolution(phi: SampledFunction, psi: SampledFunction) -> SampledFunction:
     a, b = sorted((phi.values, psi.values), key=len)
     nb = b.size
     out = np.full(a.size + nb - 1, spec.zero)
-    for i in range(a.size):
-        spec.add(out[i : i + nb], a[i] + b, out=out[i : i + nb])
+    with np.errstate(over="ignore"):
+        for i in range(a.size):
+            spec.add(out[i : i + nb], a[i] + b, out=out[i : i + nb])
+    if math.isinf(out.min()) or math.isinf(out.max()):
+        # an infinite output is the zero only if no finite pair reaches it
+        # (a float convolution of the 0/1 masks: exact counts, and faster than int64)
+        finite_pair = np.convolve(np.isfinite(a).astype(float), np.isfinite(b).astype(float)) > 0
+        if np.any(np.isinf(out) & finite_pair):
+            raise DomainError("convolution: phi(x) + psi(g - x) overflows float64")
     return SampledFunction(phi.start + psi.start, phi.step, out, phi.convention)
+
+
+def _frame(x: np.ndarray, v: np.ndarray, c: float):
+    """The points (x[j], v[j] - c*x[j]**2) in a frame where no hull test or
+    walk step overflows: X = x * 2**-ex lies in (-1, 1), V = v * 2**s and
+    K = c * 2**(2*ex + s), with the larger of max|V| and K below 2**1000
+    (v has no +inf or NaN; -inf marks a sample that takes no part).  Powers
+    of two change no decision.  x is a grid as float64 rounds it, so far
+    from 0 neighbours may coincide: of the samples at one x only the
+    highest take part.  Returns X, V, K, ex and s."""
+    same = x[1:] == x[:-1]
+    if same.any():
+        first = np.flatnonzero(np.r_[True, ~same])
+        best = np.repeat(np.maximum.reduceat(v, first), np.diff(np.r_[first, v.size]))
+        v = np.where(v == best, v, -math.inf)
+    ex = math.frexp(max(abs(float(x[0])), abs(float(x[-1]))))[1]  # x is sorted
+    finite = v[v > -math.inf]
+    top = math.frexp(float(np.max(np.abs(finite))))[1] if finite.size else 0
+    if c:
+        top = max(top, math.frexp(c)[1] + 2 * ex)
+    s = 1000 - top
+    return np.ldexp(x, -ex), np.ldexp(v, s), math.ldexp(c, 2 * ex + s), ex, s
+
+
+def _upper_hull(X: np.ndarray, V: np.ndarray, K: float) -> list:
+    """Indices of the vertices of the upper convex hull of the points
+    (X[j], V[j] - K*X[j]**2) over the j with V[j] > -inf, left to right, in
+    one pass, O(len(V)); the arguments come from _frame.
+
+    X is non-decreasing, but its gaps need not be equal; of the samples at
+    one X, which _frame left with equal V, the first is kept.  A hull test
+    is the sign of a*(V[q]-V[p]) + b*(V[r]-V[p]) - K*a*b*d for the actual
+    gaps a, b, d between X[r] < X[p] < X[q], made of differences only, so
+    it is exact whenever those few products are (dyadic inputs).
+    """
+    X, V, hull = X.tolist(), V.tolist(), []
+    for q, vq in enumerate(V):
+        if vq == -math.inf:
+            continue
+        xq = X[q]
+        if hull and X[hull[-1]] == xq:
+            continue
+        while len(hull) > 1:
+            r, p = hull[-2], hull[-1]
+            xp, vp = X[p], V[p]
+            a, b = xp - X[r], xq - xp
+            # keep p while it lies strictly above the chord from r to q
+            if a * (vq - vp) + b * (V[r] - vp) < K * (a * b * (xq - X[r])):
+                break
+            hull.pop()
+        hull.append(q)
+    return hull
+
+
+def _walk(hull: list, P, A, B, R, queries: list) -> np.ndarray:
+    """For each query q, the vertex of hull it selects: the walk moves from
+    vertex h to h + 1 while P[h] * ((q - A[h]) + (q - B[h])) >= R[h].
+
+    That test must say, for the edge from hull[h] to hull[h + 1], whether
+    the later vertex scores at least as high, and be non-decreasing in q
+    for non-decreasing queries: the winners then move right, and one pass
+    finds them all, O(len(hull) + len(queries)).  Each decision is taken
+    at its own query from differences only, so a near-tie decided by
+    rounding costs the rounding of that query's terms and no more.
+    """
+    starts, h, last = [], 0, len(hull) - 1  # hull[h] wins from starts[h - 1] on
+    for i, q in enumerate(queries):
+        while h < last and P[h] * ((q - A[h]) + (q - B[h])) >= R[h]:
+            h += 1
+            starts.append(i)
+    return np.repeat(hull[: h + 1], np.diff([0, *starts, len(queries)]))
 
 
 def legendre(
@@ -142,6 +221,14 @@ def legendre(
     Requires the maxplus convention (the transform is the sup-kernel
     integral with kernel xi*x).  The result is convex in xi: it is a finite
     max of affine functions with slopes on the x grid.
+
+    Linear-time Legendre transform (Lucet, Numerical Algorithms 1997): the
+    upper hull of the finite points (x, phi(x)) is merged with the
+    increasing slopes, O(len(phi) + xi_count).  Each output is the winner's
+    xi*x + phi(x), the float expression of the plain maximum, so dyadic
+    inputs give bitwise the same values.  Samples at -inf drop out; if all
+    samples are -inf, so is every output.  DomainError if a winning xi*x
+    overflows.
     """
     if phi.convention != "maxplus":
         raise DomainError("the slope transform is defined for maxplus functions")
@@ -149,10 +236,28 @@ def legendre(
     if xi_count < 1:
         raise DomainError("need at least one output sample")
     xi_start, xi_step = _check_grid(xi_start, xi_step, xi_count)
-    xs = phi.grid()
-    xis = xi_start + xi_step * np.arange(xi_count)
-    out = np.empty(xi_count)
-    _reduce_rows(MAXPLUS, out, xs.size, lambda s: xis[s, None] * xs[None, :] + phi.values)
+    xs, xis = phi.grid(), xi_start + xi_step * np.arange(xi_count)
+    X, V, _, ex, s = _frame(xs, phi.values, 0.0)
+    hull = _upper_hull(X, V, 0.0)
+    if not hull:
+        return SampledFunction(xi_start, xi_step, np.full(xi_count, MAXPLUS.zero), "maxplus")
+    # x[h + 1] wins over x[h] at xi iff xi*(x[h + 1] - x[h]) >= phi[h] - phi[h + 1].
+    # With the gap 2**(ex + k) * G, 1/2 <= G < 1, and xi = q * 2**e, where
+    # e <= 0 scales tiny slopes up, that reads q * G >= (V[h] - V[h + 1]) * 2**r:
+    # no side overflows, and a right side that overflows or underflows keeps its sign.
+    h = np.array(hull)
+    G, k = np.frexp(np.diff(X[h]))
+    e = min(0, math.frexp(max(abs(xi_start), abs(float(xis[-1]))))[1])
+    D = V[h[:-1]] - V[h[1:]]
+    with np.errstate(over="ignore"):
+        R = np.ldexp(D, -s - ex - k - e)
+    R = np.where(R == 0.0, np.sign(D) * 5e-324, R)
+    zero = [0.0] * G.size
+    w = _walk(hull, G.tolist(), zero, zero, R.tolist(), np.ldexp(xis, -e - 1).tolist())
+    with np.errstate(over="ignore"):
+        out = xis * xs[w] + phi.values[w]
+    if not np.all(np.isfinite(out)):
+        raise DomainError("legendre: xi*x + phi(x) overflows float64")
     return SampledFunction(xi_start, xi_step, out, "maxplus")
 
 
@@ -163,6 +268,15 @@ def hopf_lax_evolve(s0: SampledFunction, t: float, m: float = 1.0) -> SampledFun
 
     i.e. the min-plus integral operator with the parabolic Green kernel; s0
     must be a minplus function.  The output lives on the same grid.
+
+    The lower envelope of the parabolas s0(y) + c*(x - y)^2, c = m/(2t), is
+    found over the grid points as float64 rounds them (Felzenszwalb &
+    Huttenlocher, "Distance transforms of sampled functions", Theory of
+    Computing 2012), O(len(s0)).  Each output is the winner's
+    s0(y) + c*((x - y)*(x - y)), the float expression of the plain minimum,
+    so dyadic inputs give bitwise the same values.  Samples at +inf drop out; if all samples are +inf, so is every
+    output.  DomainError if c underflows to 0 or overflows, or a winning
+    term overflows.
     """
     if s0.convention != "minplus":
         raise DomainError("the evolution acts on minplus initial data")
@@ -172,13 +286,24 @@ def hopf_lax_evolve(s0: SampledFunction, t: float, m: float = 1.0) -> SampledFun
         raise DomainError(f"time must be a positive real, got {t!r}")
     if not (math.isfinite(m) and m > 0):
         raise DomainError(f"mass must be a positive real, got {m!r}")
-    ys = s0.grid()
     c = m / (2.0 * t)
-    out = np.empty(ys.size)
-
-    def term(s):
-        diff = ys[s, None] - ys[None, :]
-        return s0.values + c * (diff * diff)
-
-    _reduce_rows(MINPLUS, out, ys.size, term)
-    return SampledFunction(s0.start, s0.step, out, "minplus")
+    if not 0.0 < c < math.inf:
+        how = "underflows to 0" if c == 0.0 else "overflows"
+        raise DomainError(f"hopf_lax_evolve: m/(2t) {how} in float64 (m={m!r}, t={t!r})")
+    a, y0, dy, ys = s0.values, s0.start, s0.step, s0.grid()
+    # the lower envelope of the parabolas is the upper hull of (y, -s0(y) - c*y*y)
+    Y, V, K, _, _ = _frame(ys, -a, c)
+    hull = _upper_hull(Y, V, K)
+    if not hull:
+        return SampledFunction(y0, dy, np.full(a.size, MINPLUS.zero), "minplus")
+    # y[h + 1] wins over y[h] at y iff
+    # c*(y[h + 1] - y[h])*((y - y[h]) + (y - y[h + 1])) >= s0[h + 1] - s0[h]
+    h = np.array(hull)
+    A, B = Y[h[:-1]], Y[h[1:]]
+    w = _walk(hull, (K * (B - A)).tolist(), A.tolist(), B.tolist(), (V[h[:-1]] - V[h[1:]]).tolist(), Y.tolist())
+    with np.errstate(over="ignore"):
+        diff = ys - ys[w]
+        out = a[w] + c * (diff * diff)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("hopf_lax_evolve: s0(y) + m*(x - y)^2/(2t) overflows float64")
+    return SampledFunction(y0, dy, out, "minplus")

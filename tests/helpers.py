@@ -90,6 +90,24 @@ def stabilized_star(A):
     raise NonConvergent(f"no fixpoint after {n + 1} iterations")
 
 
+def brute_legendre(phi, xi_start, xi_step, xi_count):
+    """max_x (xi*x + phi(x)) over every pair at once: the O(N*M) reference
+    for tropikit.legendre, with its float expression xi*x + phi(x)."""
+    xs = phi.grid()
+    xis = xi_start + xi_step * np.arange(xi_count)
+    return np.max(xis[:, None] * xs[None, :] + phi.values, axis=1)
+
+
+def brute_hopf_lax(s0, t, m=1.0):
+    """min_y (s0(y) + c*(x - y)^2), c = m/(2t), over every pair at once: the
+    O(N^2) reference for tropikit.hopf_lax_evolve, with its float
+    expression s0(y) + c*((x - y)*(x - y))."""
+    ys = s0.grid()
+    c = m / (2.0 * t)
+    diff = ys[:, None] - ys[None, :]
+    return np.min(s0.values + c * (diff * diff), axis=1)
+
+
 def dyadic(rng, size=None, lo=-8.0, hi=8.0, grain=64):
     """Uniform multiples of 1/grain; sums of a few stay exact in float64."""
     draw = rng.integers(int(lo * grain), int(hi * grain), size=size, endpoint=True)

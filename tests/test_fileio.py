@@ -6,10 +6,12 @@ import pytest
 
 from tropikit import (
     FileFormatError,
+    IntervalMatrix,
     MAXPLUS,
     MINPLUS,
     SampledFunction,
     SemiringMatrix,
+    get_semiring,
     interval_adjacency,
     tropical_curve_2d,
 )
@@ -169,3 +171,33 @@ def test_function_parse_errors():
         parse_function("start 0 step 1\n0\n")
     with pytest.raises(FileFormatError):
         parse_function("start 0 step 1 convention maxplus\n")
+
+
+def test_writers_match_per_element_fmt_float():
+    # the writers %-format Python floats; each token must be the fmt_float
+    # of the numpy element it replaces
+    vals = [INF, -INF, -0.0, 5e-324, 2.2250738585072009e-308, 0.1, 1.0 / 3.0,
+            -1.7976931348623157e308, 123456789.12345678, 1e-300]
+    rng = np.random.default_rng(72)
+
+    def table(rows, sep):
+        return "\n".join(sep.join(fmt_float(v) for v in row) for row in rows) + "\n"
+
+    grid = rng.permutation(vals * 3).reshape(5, 6)
+    M = SemiringMatrix(grid, get_semiring("maxmin"))
+    assert format_matrix(M) == table(M.data, "\t")
+
+    lo, hi = np.sort(rng.permutation(vals * 2).reshape(2, 2, 5), axis=0)
+    lo, hi = np.where(lo == -INF, 0.0, lo), np.where(hi == -INF, 0.0, hi)
+    X = IntervalMatrix.from_arrays(hi, lo, MINPLUS)  # minplus: upper is the smaller
+    nlo, nhi = X.numeric_bounds()
+    pairs = [[v for j in range(nlo.shape[1]) for v in (nlo[i, j], nhi[i, j])]
+             for i in range(nlo.shape[0])]
+    assert format_interval_matrix(X) == table(pairs, "\t")
+
+    pts = np.array(vals).reshape(5, 2)
+    assert format_points(pts) == "x,y\n" + table(pts, ",")
+
+    f = SampledFunction(-1.0, 0.125, np.array([v for v in vals if v != INF]), "maxplus")
+    head = "start -1 step 0.125 convention maxplus\n"
+    assert format_function(f) == head + table(f.values[:, None], "")

@@ -1,12 +1,17 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
-from helpers import dyadic, upper_concave_envelope
+from helpers import brute_hopf_lax, brute_legendre, dyadic, upper_concave_envelope
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropikit import (
     DomainError,
     GridMismatch,
+    TropikitError,
     SampledFunction,
     convolution,
     hopf_lax_evolve,
@@ -309,3 +314,239 @@ def test_hopf_lax_validation():
         hopf_lax_evolve(s0, 0.0)
     with pytest.raises(DomainError):
         hopf_lax_evolve(s0, 1.0, m=-1.0)
+
+
+def test_grids_whose_points_coincide_in_float64_are_accepted():
+    # 1e16 + 1 rounds back to 1e16: two samples share one x
+    f = grid_fn(1e16, 1.0, [0.0, 1.0])
+    assert list(f.grid()) == [1e16, 1e16]
+    assert scalar_mul(2.0, f) == grid_fn(1e16, 1.0, [2.0, 3.0])
+    # the slope grid -1e200 + {0, 1, 2} is three times -1e200
+    phi = grid_fn(0.0, 1.0, [0.0, 1.0])
+    assert np.array_equal(legendre(phi, -1e200, 1.0, 3).values, brute_legendre(phi, -1e200, 1.0, 3))
+
+
+# --- envelope kernels against the brute-force oracles -----------------------------
+
+
+def _holes(rng, values, zero):
+    """values with a random share of samples (none to all) set to zero."""
+    share = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
+    out = values.copy()
+    out[rng.random(values.size) < share] = zero
+    return out
+
+
+def test_hopf_lax_is_bitwise_the_brute_force_on_dyadic_inputs():
+    rng = np.random.default_rng(81)
+    for trial in range(300):
+        n = int(rng.integers(1, 400)) if trial >= 4 else 1 + trial
+        vals = _holes(rng, dyadic(rng, n, grain=256), INF)
+        if trial % 50 == 7:  # a single finite sample
+            vals[:] = INF
+            vals[int(rng.integers(n))] = dyadic(rng)
+        step = 2.0 ** -int(rng.integers(0, 7))
+        s0 = grid_fn(float(rng.integers(-64, 64)) * step, step, vals, "minplus")
+        t = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+        m = float(rng.choice([1.0, 0.25, 3.0, 5.0]))
+        out = hopf_lax_evolve(s0, t, m)
+        assert out.values.tobytes() == brute_hopf_lax(s0, t, m).tobytes()
+        if np.all(vals == INF):
+            assert np.all(out.values == INF)
+
+
+def test_legendre_is_bitwise_the_brute_force_on_dyadic_inputs():
+    rng = np.random.default_rng(82)
+    for trial in range(300):
+        n = int(rng.integers(1, 400)) if trial >= 4 else 1 + trial
+        vals = _holes(rng, dyadic(rng, n, grain=256), -INF)
+        if trial % 50 == 7:
+            vals[:] = -INF
+            vals[int(rng.integers(n))] = dyadic(rng)
+        step = 2.0 ** -int(rng.integers(0, 7))
+        phi = grid_fn(float(rng.integers(-64, 64)) * step, step, vals)
+        xi_count = int(rng.integers(1, 400))
+        if trial % 3:
+            xi_step = 2.0 ** -int(rng.integers(0, 9))
+            xi_start = -xi_step * float(rng.integers(0, 2 * xi_count))
+        else:  # slopes beyond the steepest chord, 16/step, on both sides
+            xi_step = 2.0 ** math.ceil(math.log2(64 / step / xi_count))
+            xi_start = -xi_step * (xi_count // 2)
+        out = legendre(phi, xi_start, xi_step, xi_count)
+        want = brute_legendre(phi, xi_start, xi_step, xi_count)
+        assert out.values.tobytes() == want.tobytes()
+        if np.all(vals == -INF):
+            assert np.all(out.values == -INF)
+
+
+def test_envelopes_stay_within_two_ulps_on_non_dyadic_inputs():
+    # with a step of 0.01 grid points are rounded and the kernels may pick
+    # a different near-tied winner than the plain extremum; the gap is at
+    # most 2 ulps of the largest term magnitude (|s0| or |xi*x| + |phi|)
+    rng = np.random.default_rng(83)
+    for _ in range(200):
+        n = int(rng.integers(1, 300))
+        vals = np.round(rng.uniform(-3.0, 3.0, n), 2)
+        if rng.random() < 0.3:  # collinear and parabolic values tie often
+            xs = -0.37 + 0.01 * np.arange(n)
+            vals = 0.37 * xs + 0.1 if rng.random() < 0.5 else 0.5 * xs * xs
+        s0 = grid_fn(-0.37, 0.01, vals, "minplus")
+        t, m = float(rng.choice([0.3, 0.7, 1.0])), float(rng.choice([0.1, 1.0, 3.0]))
+        got, want = hopf_lax_evolve(s0, t, m).values, brute_hopf_lax(s0, t, m)
+        ulp = np.spacing(np.maximum(np.abs(want), np.max(np.abs(vals))))
+        assert np.all(np.abs(got - want) <= 2 * ulp)
+
+        phi = grid_fn(-0.37, 0.01, vals)
+        xi_start, xi_step = float(rng.choice([-2.0, -0.37])), float(rng.choice([0.01, 0.053]))
+        xi_count = int(rng.integers(1, 300))
+        got, want = legendre(phi, xi_start, xi_step, xi_count).values, brute_legendre(
+            phi, xi_start, xi_step, xi_count)
+        xis = xi_start + xi_step * np.arange(xi_count)
+        scale = np.abs(xis) * np.max(np.abs(phi.grid())) + np.max(np.abs(vals))
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.maximum(np.abs(want), scale)))
+
+
+def test_envelopes_follow_the_grid_as_float64_rounds_it():
+    # 1e16 + 3*i is 1e16 + {0, 4, 6, 8, 12, 16}: uneven gaps; an envelope
+    # built from indices dropped the winner at x = 1e16 + 12 and gave 16
+    s0 = grid_fn(1e16, 3.0, [INF, INF, INF, 0.0, 10.0, 0.0], "minplus")
+    out = hopf_lax_evolve(s0, 1.0, 2.0).values
+    assert out[4] == 10.0
+    assert out.tobytes() == brute_hopf_lax(s0, 1.0, 2.0).tobytes()
+    # nanosecond timestamps (ulp 256 at step 1000) and grids whose points
+    # coincide, with integer values: every term is exact, so bitwise
+    rng = np.random.default_rng(85)
+    for trial in range(200):
+        n = int(rng.integers(1, 120))
+        start, step = [(1.7e18 + 1000.0 * int(rng.integers(0, 999)), 1000.0),
+                       (1e16, 3.0), (-1e16, 1.0), (1e16, 0.5)][trial % 4]
+        vals = rng.integers(-50, 50, n).astype(float) * float(rng.choice([1.0, 1e6]))
+        vals[rng.random(n) < 0.3] = INF
+        s0 = grid_fn(start, step, vals, "minplus")
+        t, m = float(rng.choice([0.5, 1.0, 1e6])), float(rng.choice([1.0, 2.0]))
+        assert hopf_lax_evolve(s0, t, m).values.tobytes() == brute_hopf_lax(s0, t, m).tobytes()
+        phi = grid_fn(start, step, -vals)
+        xi_count = int(rng.integers(1, 120))
+        xi_step = float(rng.choice([1.0, 0.053, 1e-5]))
+        xi_start = -xi_step * xi_count * float(rng.random())
+        got = legendre(phi, xi_start, xi_step, xi_count).values
+        want = brute_legendre(phi, xi_start, xi_step, xi_count)
+        # xi*x rounds here: within 2 ulps of the largest term, as below
+        xis = xi_start + xi_step * np.arange(xi_count)
+        finite = want > -INF
+        assert np.array_equal(got > -INF, finite)
+        scale = np.abs(xis) * np.max(np.abs(phi.grid())) + np.max(np.abs(vals[vals < INF]), initial=0.0)
+        bound = 2 * np.spacing(np.maximum(np.abs(want), scale))
+        assert np.all(np.abs(got[finite] - want[finite]) <= bound[finite])
+
+
+def test_envelope_decisions_survive_extreme_scales():
+    # decisions at extreme scales: a threshold (phi difference / x gap) of
+    # 1e-600 must keep its sign against xi = 0; subnormal slopes meet gaps
+    # of 1e300; a slope of -3e-310 shares its grid with slopes up to 8e300
+    cases = [
+        (grid_fn(0.0, 1e300, [1e-300, 0.0]), 0.0, 1.0, 1),
+        (grid_fn(-3e-310, 1e300, [0.0, 1e-300, 1e-300, 5e-324, 5e-324]), 0.0, 5e-324, 9),
+        (grid_fn(-3e-310, 1000.0, [1e-300, 1e-300]), -3e-310, 1e300, 9),
+    ]
+    for phi, xi_start, xi_step, xi_count in cases:
+        got = legendre(phi, xi_start, xi_step, xi_count).values
+        assert got.tobytes() == brute_legendre(phi, xi_start, xi_step, xi_count).tobytes()
+    # all points are 1e300 and c = 2.5e299 dwarfs the values: the lower
+    # value must still win among samples that share one point
+    s0 = grid_fn(1e300, 1.0, [7.0, 0.5], "minplus")
+    assert list(hopf_lax_evolve(s0, 1e-300, 0.5).values) == [0.5, 0.5]
+
+
+def test_legendre_drops_minus_inf_and_types_the_overflow():
+    # the -inf sample used to meet an infinite xi*x and form NaN
+    phi = grid_fn(1e200, 1e200, [0.0, -INF])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows float64"):
+            legendre(phi, 1e200, 1.0, 1)
+        # the same function at a slope whose products stay finite
+        assert legendre(phi, 1e-200, 1.0, 1).values[0] == 1.0
+        # xi*x overflows to -inf at x = -3 and -2, but not at the winner x = 0
+        tilted = grid_fn(-3.0, 1.0, [0.0, 2.0, 3.0, 3.5])
+        assert legendre(tilted, 1.7e308, 1.0, 1).values[0] == 3.5
+
+
+def test_hopf_lax_rejects_an_underflowing_kernel_and_overflowing_terms():
+    # c = m/(2t) underflowed to 0 and met an infinite squared distance: NaN
+    s0 = grid_fn(-1e200, 1e200, [0.0, 0.0, 0.0], "minplus")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="underflows"):
+            hopf_lax_evolve(s0, 1e300, 1e-300)
+        with pytest.raises(DomainError, match="overflows"):
+            hopf_lax_evolve(s0, 1e-300, 1e300)  # c overflows
+        # c is fine, but the only finite term at x = 1e200 is 1e400
+        with pytest.raises(DomainError, match="overflows float64"):
+            hopf_lax_evolve(grid_fn(-1e200, 1e200, [0.0, INF, INF], "minplus"), 1.0)
+        # every sample its own winner: nothing overflows
+        assert np.array_equal(hopf_lax_evolve(s0, 1.0).values, [0.0, 0.0, 0.0])
+        # values near the float64 limit: the hull tests must not overflow
+        big = [-5e307, 1.5e308, 1.0, 1.0, 5e307, 1.0]
+        out = hopf_lax_evolve(grid_fn(0.0, 1e300, big, "minplus"), 1.0)
+        assert np.array_equal(out.values, big)
+
+
+def test_convolution_overflow_is_a_domain_error():
+    big = grid_fn(0.0, 1.0, [1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows float64"):
+            convolution(big, big)
+        # -1e308 + -1e308 would read as the zero -inf: also an overflow
+        low = grid_fn(0.0, 1.0, [-1e308])
+        with pytest.raises(DomainError, match="overflows float64"):
+            convolution(low, low)
+        # outputs that no finite pair reaches are the zero, not an overflow
+        out = convolution(grid_fn(0.0, 1.0, [-INF, 1.0]), grid_fn(0.0, 1.0, [2.0, -INF]))
+        assert list(out.values) == [-INF, 3.0, -INF]
+        # an overflowing pair that does not win is harmless
+        out = convolution(grid_fn(0.0, 1.0, [-1e308, 5.0]), grid_fn(0.0, 1.0, [5.0, -1e308]))
+        assert list(out.values) == [5.0 - 1e308, 10.0, 5.0 - 1e308]
+
+
+_VALUES = st.sampled_from([0.0, 0.5, -1.25, 3.0, 1e308, -1e308, 5e-324, None])
+_SCALES = st.sampled_from([5e-324, 1e-300, 1e-10, 0.5, 1.0, 3.0, 1e10, 1e300, 1e308])
+_STARTS = st.sampled_from([0.0, -1.0, 2.5, -1e200, 1e200, -1e308, 1e300])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=10), st.lists(_VALUES, min_size=1, max_size=10),
+       st.sampled_from(["maxplus", "minplus"]), _STARTS, _SCALES, _SCALES, _SCALES,
+       _STARTS, _SCALES, st.integers(1, 10))
+def test_transforms_never_form_nan(a, b, conv, start, step, t, m, xi_start, xi_step, xi_count):
+    # values mix small dyadics, +-1e308, a subnormal and the zero (None)
+    def fn(values, convention):
+        zero = -INF if convention == "maxplus" else INF
+        return grid_fn(start, step, [zero if v is None else v for v in values], convention)
+
+    calls = (
+        lambda: hopf_lax_evolve(fn(a, "minplus"), t, m),
+        lambda: legendre(fn(a, "maxplus"), xi_start, xi_step, xi_count),
+        lambda: convolution(fn(a, conv), fn(b, conv)),
+    )
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = call()
+            except TropikitError:
+                continue
+        assert not np.any(np.isnan(out.values))
+
+
+def test_envelopes_are_linear_time():
+    # the pairwise kernels needed minutes at this size; the envelopes need
+    # well under a second
+    n = 100_000
+    rng = np.random.default_rng(84)
+    vals = dyadic(rng, n)
+    begin = time.perf_counter()
+    hopf_lax_evolve(grid_fn(-n / 128, 1 / 64, vals, "minplus"), 1.0)
+    legendre(grid_fn(-n / 128, 1 / 64, vals), -n / 2048, 1 / 1024, n)
+    assert time.perf_counter() - begin < 5.0
