@@ -119,6 +119,16 @@ def poly_mul(f: GenPolynomial, g: GenPolynomial) -> GenPolynomial:
     return GenPolynomial(f.n, tuple((c, d) for c, d in terms))
 
 
+def _point(f: GenPolynomial, x: Sequence[float]) -> tuple:
+    """x as a tuple of floats, if it has one finite coordinate per variable of f."""
+    xs = tuple(float(v) for v in x)
+    if len(xs) != f.n:
+        raise DimensionMismatch(f"point has {len(xs)} coordinates, polynomial has {f.n}")
+    if not all(math.isfinite(v) for v in xs):
+        raise DomainError("evaluation point must be finite")
+    return xs
+
+
 def eval_dequantized(f: GenPolynomial, x: Sequence[float], h: float) -> float:
     """h * ln|f(exp(x1/h), ..., exp(xn/h))| without overflow.
 
@@ -128,11 +138,7 @@ def eval_dequantized(f: GenPolynomial, x: Sequence[float], h: float) -> float:
     raises DomainError if the largest s_i is not a finite float.
     """
     _positive_finite(h, "h")
-    xs = tuple(float(v) for v in x)
-    if len(xs) != f.n:
-        raise DimensionMismatch(f"point has {len(xs)} coordinates, polynomial has {f.n}")
-    if not all(math.isfinite(v) for v in xs):
-        raise DomainError("evaluation point must be finite")
+    xs = _point(f, x)
     s = np.array([_dot_float(d, xs) / h + math.log(abs(c)) for c, d in f.terms])
     signs = np.array([1.0 if c > 0 else -1.0 for c, _ in f.terms])
     m = float(s.max())
@@ -156,11 +162,7 @@ def dequantize_limit(f: GenPolynomial, x: Sequence[float]) -> float:
     the leading exponent must be attained by exactly one term, otherwise the
     limit genuinely depends on cancellations and AmbiguousLimit is raised.
     """
-    xs = tuple(float(v) for v in x)
-    if len(xs) != f.n:
-        raise DimensionMismatch(f"point has {len(xs)} coordinates, polynomial has {f.n}")
-    if not all(math.isfinite(v) for v in xs):
-        raise DomainError("evaluation point must be finite")
+    xs = _point(f, x)
     dots = [_dot_float(d, xs) for _, d in f.terms]
     m = max(dots)
     if f.positive or dots.count(m) == 1:

@@ -122,19 +122,21 @@ def format_matrix(M: SemiringMatrix) -> str:
     return "\n".join(_float_lines(M.data, "\t")) + "\n"
 
 
-def parse_matrix(text: str, spec: SemiringSpec) -> SemiringMatrix:
+def _float_rows(text: str, what: str) -> np.ndarray:
+    """The data lines of text as a 2-D float array, if all have one width."""
     rows = []
-    width = None
     for ln, line in _data_lines(text):
         vals = [parse_float(t) for t in line.split()]
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise FileFormatError(f"line {ln}: ragged row ({len(vals)} of {width} entries)")
+        if rows and len(vals) != len(rows[0]):
+            raise FileFormatError(f"line {ln}: ragged row ({len(vals)} of {len(rows[0])} entries)")
         rows.append(vals)
     if not rows:
-        raise FileFormatError("matrix file has no rows")
-    return SemiringMatrix(rows, spec)
+        raise FileFormatError(f"{what} file has no rows")
+    return np.array(rows)
+
+
+def parse_matrix(text: str, spec: SemiringSpec) -> SemiringMatrix:
+    return SemiringMatrix(_float_rows(text, "matrix"), spec)
 
 
 def format_interval_matrix(M: IntervalMatrix) -> str:
@@ -145,30 +147,10 @@ def format_interval_matrix(M: IntervalMatrix) -> str:
 
 
 def parse_interval_matrix(text: str, spec: SemiringSpec) -> IntervalMatrix:
-    lo_rows, hi_rows = [], []
-    width = None
-    for ln, line in _data_lines(text):
-        vals = [parse_float(t) for t in line.split()]
-        if len(vals) % 2:
-            raise FileFormatError(f"line {ln}: odd number of entries in an interval row")
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise FileFormatError(f"line {ln}: ragged row ({len(vals)} of {width} entries)")
-        lo_rows.append(vals[0::2])
-        hi_rows.append(vals[1::2])
-    if not lo_rows:
-        raise FileFormatError("interval matrix file has no rows")
-    from .interval import IntervalValue  # local import to avoid a cycle on partial loads
-
-    n_rows, n_cols = len(lo_rows), len(lo_rows[0])
-    lo = np.empty((n_rows, n_cols))
-    hi = np.empty((n_rows, n_cols))
-    for i in range(n_rows):
-        for j in range(n_cols):
-            iv = IntervalValue.from_numeric(lo_rows[i][j], hi_rows[i][j], spec)
-            lo[i, j], hi[i, j] = iv.lower, iv.upper
-    return IntervalMatrix.from_arrays(lo, hi, spec)
+    cells = _float_rows(text, "interval matrix")
+    if cells.shape[1] % 2:
+        raise FileFormatError(f"odd number of entries ({cells.shape[1]}) in interval rows")
+    return IntervalMatrix.from_numeric(cells[:, 0::2], cells[:, 1::2], spec)
 
 
 # --- generalized polynomials ---------------------------------------------------

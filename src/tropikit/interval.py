@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, NonConvergent, NotIdempotent, ShapeMismatch
-from .semiring import MINPLUS, SemiringSpec, _same_spec, add, leq, mul
+from .errors import DomainError, NonConvergent, ShapeMismatch
+from .semiring import MINPLUS, SemiringSpec, _require_idempotent, _same_spec, add, leq, mul
 
 
 class IntervalValue:
@@ -26,8 +26,6 @@ class IntervalValue:
     __slots__ = ("lower", "upper", "spec")
 
     def __init__(self, lower: float, upper: float, spec: SemiringSpec):
-        if not spec.idempotent:
-            raise NotIdempotent(f"intervals need the standard order; {spec.name} has none")
         lower = float(lower) + 0.0
         upper = float(upper) + 0.0
         if not leq(lower, upper, spec):
@@ -87,8 +85,7 @@ class IntervalMatrix:
 
     def __init__(self, lower: linalg.SemiringMatrix, upper: linalg.SemiringMatrix):
         spec = _same_spec(lower, upper)
-        if not spec.idempotent:
-            raise NotIdempotent(f"intervals need the standard order; {spec.name} has none")
+        _require_idempotent(spec, "an interval matrix")
         if lower.shape != upper.shape:
             raise ShapeMismatch(f"endpoint shapes differ: {lower.shape} vs {upper.shape}")
         if not np.array_equal(spec.add(lower.data, upper.data), upper.data):
@@ -99,6 +96,13 @@ class IntervalMatrix:
     @classmethod
     def from_arrays(cls, lower, upper, spec: SemiringSpec) -> "IntervalMatrix":
         return cls(linalg.SemiringMatrix(lower, spec), linalg.SemiringMatrix(upper, spec))
+
+    @classmethod
+    def from_numeric(cls, a, b, spec: SemiringSpec) -> "IntervalMatrix":
+        """Entrywise IntervalValue.from_numeric: endpoint arrays in either order."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        up = spec.add(a, b) == b
+        return cls.from_arrays(np.where(up, a, b), np.where(up, b, a), spec)
 
     @classmethod
     def degenerate(cls, M: linalg.SemiringMatrix) -> "IntervalMatrix":
@@ -154,20 +158,20 @@ def interval_matrix_mul(A: IntervalMatrix, B: IntervalMatrix) -> IntervalMatrix:
 def interval_adjacency(n: int, edges, spec: SemiringSpec = MINPLUS) -> IntervalMatrix:
     """Interval edge matrix from (src, dst, wmin, wmax) rows.
 
-    Numeric bounds are converted to standard-order endpoints per entry;
-    parallel edges combine by interval (+); absent arcs are the degenerate
-    zero interval.
+    Numeric bounds are converted to standard-order endpoints, all edges at
+    once; parallel edges combine by interval (+); absent arcs are the
+    degenerate zero interval.
     """
-    lo = np.full((n, n), spec.zero)
-    hi = np.full((n, n), spec.zero)
-    for s, d, wmin, wmax in edges:
-        s, d = int(s), int(d)
-        if not (0 <= s < n and 0 <= d < n):
-            raise DomainError(f"edge ({s}, {d}) out of range for {n} nodes")
-        iv = IntervalValue.from_numeric(wmin, wmax, spec)
-        cur = IntervalValue(lo[s, d], hi[s, d], spec)
-        new = interval_add(cur, iv)
-        lo[s, d], hi[s, d] = new.lower, new.upper
+    rows = np.array(edges, dtype=float).reshape(len(edges), 4)
+    # int(x) lies in [0, n) exactly when -1 < x < n
+    bad = ~np.all((rows[:, :2] > -1) & (rows[:, :2] < n), axis=1)
+    if bad.any():
+        s, d = edges[int(np.argmax(bad))][:2]
+        raise DomainError(f"edge ({s}, {d}) out of range for {n} nodes")
+    src, dst = rows[:, :2].astype(np.intp).T.tolist()
+    w = IntervalMatrix.from_numeric(rows[:, 2:3], rows[:, 3:4], spec)
+    lo = linalg._accumulate(n, zip(src, dst, w.lower.data[:, 0].tolist()), spec)
+    hi = linalg._accumulate(n, zip(src, dst, w.upper.data[:, 0].tolist()), spec)
     return IntervalMatrix.from_arrays(lo, hi, spec)
 
 
@@ -181,13 +185,10 @@ def interval_bellman(
     ordered, so the pair is again a valid interval matrix, and each endpoint
     is attained by an admissible point problem.
     """
-    _same_spec(H, F)
-    try:
-        xl = linalg.solve_bellman_jacobi(H.lower, F.lower, max_iter=max_iter)
-    except NonConvergent as e:
-        raise NonConvergent(f"lower endpoint system: {e}", endpoint="lower") from None
-    try:
-        xu = linalg.solve_bellman_jacobi(H.upper, F.upper, max_iter=max_iter)
-    except NonConvergent as e:
-        raise NonConvergent(f"upper endpoint system: {e}", endpoint="upper") from None
-    return IntervalMatrix(xl, xu)
+    X = []
+    for end, h, f in (("lower", H.lower, F.lower), ("upper", H.upper, F.upper)):
+        try:
+            X.append(linalg.solve_bellman_jacobi(h, f, max_iter=max_iter))
+        except NonConvergent as e:
+            raise NonConvergent(f"{end} endpoint system: {e}", endpoint=end) from None
+    return IntervalMatrix(*X)

@@ -10,18 +10,17 @@ shift by) already-computed floats, so fixpoint detection is exact equality.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NegativeCycle,
-    NonConvergent,
-    NotIdempotent,
-    ShapeMismatch,
-)
-from .semiring import MINPLUS, SemiringSpec, _reduce_rows, _same_spec
+from .errors import DomainError, NegativeCycle, NonConvergent, ShapeMismatch
+from .semiring import MINPLUS, SemiringSpec, _require_idempotent, _same_spec
+
+# Float64 elements per pairwise temporary in matrix_mul: 256 KiB, which stays
+# in L2 whatever the size of the problem.
+_BLOCK = 1 << 15
 
 
 class SemiringMatrix:
@@ -89,20 +88,31 @@ def matrix_add(A: SemiringMatrix, B: SemiringMatrix) -> SemiringMatrix:
     return SemiringMatrix(spec.add(A.data, B.data), spec)
 
 
+@contextmanager
+def _overflow_is_domain_error(what: str):
+    """No float warnings; a failed carrier check inside names the overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except DomainError:
+            raise DomainError(f"{what}: a path weight overflows float64") from None
+
+
 def matrix_mul(A: SemiringMatrix, B: SemiringMatrix) -> SemiringMatrix:
-    """Matrix product with (+) as sum and (x) as product, in row blocks."""
+    """Matrix product with (+) as sum and (x) as product, in blocks of rows
+    whose pairwise temporary fits _BLOCK elements (one row at least), each
+    output row reduced whole; DomainError if an overflow leaves the carrier."""
     spec = _same_spec(A, B)
     if A.cols != B.rows:
         raise ShapeMismatch(f"cannot multiply shapes {A.shape} and {B.shape}")
     a, b = A.data, B.data
     out = np.empty((A.rows, B.cols))
-    _reduce_rows(spec, out, b.size, lambda s: spec.mul(a[s, :, None], b[None, :, :]))
-    return SemiringMatrix(out, spec)
-
-
-def _require_idempotent(spec: SemiringSpec, what: str) -> None:
-    if not spec.idempotent:
-        raise NotIdempotent(f"{what} needs an idempotent addition; {spec.name} has none")
+    rows = max(1, _BLOCK // max(1, b.size))
+    with _overflow_is_domain_error("matrix_mul"):
+        for lo in range(0, A.rows, rows):
+            s = slice(lo, lo + rows)
+            out[s] = spec.add_reduce(spec.mul(a[s, :, None], b[None, :, :]), axis=1)
+        return SemiringMatrix(out, spec)
 
 
 def kleene_star(A: SemiringMatrix) -> SemiringMatrix:
@@ -126,7 +136,7 @@ def kleene_star(A: SemiringMatrix) -> SemiringMatrix:
     spec, one = A.spec, A.spec.one
     S = A.data.copy()
     np.fill_diagonal(S, spec.add(np.diag(S), one))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _overflow_is_domain_error("kleene_star"):
         for k in range(A.rows):
             d = S[k, k]
             if spec.add(d, one) != one:
@@ -137,10 +147,7 @@ def kleene_star(A: SemiringMatrix) -> SemiringMatrix:
                     f"{float(d)!r}, better than one ({one!r})"
                 )
             S = spec.add(S, spec.mul(S[:, k, None], S[None, k, :]))
-    try:
         return SemiringMatrix(S, spec)
-    except DomainError:
-        raise DomainError("kleene_star: a path weight overflows float64") from None
 
 
 def _negative_cycle(W: np.ndarray) -> tuple:
@@ -194,8 +201,7 @@ def solve_bellman_jacobi(H, F, max_iter=None, full_output=False):
     """Least solution of X = H (x) X (+) F by simultaneous updates from X0 = F.
 
     Returns X, or (X, info) with info["iterations"] counting update passes
-    including the one that detects stabilization.
-    """
+    including the one that detects stabilization.  DomainError on overflow."""
     _require_idempotent(H.spec, "solve_bellman_jacobi")
     n = _check_system(H, F)
     budget = n + 1 if max_iter is None else int(max_iter)
@@ -214,23 +220,25 @@ def solve_bellman_gauss_seidel(H, F, max_iter=None, full_output=False):
     Rows are updated in ascending index order within each sweep, every update
     seeing the freshest values; a sweep that changes nothing ends the solve.
     info["iterations"] counts sweeps including that final verification sweep.
-    """
+    DomainError if a path weight overflows float64."""
     _require_idempotent(H.spec, "solve_bellman_gauss_seidel")
     n = _check_system(H, F)
     spec = H.spec
     budget = n + 1 if max_iter is None else int(max_iter)
     X = F.data.copy()
-    for sweep in range(1, budget + 1):
-        changed = False
-        for i in range(n):
-            cand = spec.add(spec.add_reduce(spec.mul(H.data[i, :, None], X), axis=0), F.data[i])
-            cand = np.asarray(cand) + 0.0
-            if not np.array_equal(cand, X[i]):
-                X[i] = cand
-                changed = True
-        if not changed:
-            out = SemiringMatrix(X, spec)
-            return (out, {"iterations": sweep}) if full_output else out
+    with _overflow_is_domain_error("solve_bellman_gauss_seidel"):
+        for sweep in range(1, budget + 1):
+            changed = False
+            for i in range(n):
+                cand = spec.add(spec.add_reduce(spec.mul(H.data[i, :, None], X), axis=0), F.data[i])
+                cand = np.asarray(cand) + 0.0
+                if not np.array_equal(cand, X[i]):
+                    X[i] = cand
+                    changed = True
+            if not changed:
+                out = SemiringMatrix(X, spec)
+                return (out, {"iterations": sweep}) if full_output else out
+        SemiringMatrix(X, spec)  # an overflow leaves X outside the carrier for good
     raise NonConvergent(f"no fixpoint after {budget} sweeps")
 
 
@@ -255,13 +263,18 @@ class Graph:
         object.__setattr__(self, "edges", tuple(clean))
 
 
+def _accumulate(n: int, edges, spec: SemiringSpec) -> np.ndarray:
+    """n x n zero matrix with each (src, dst, w) of edges added in by (+)."""
+    arr = np.full((n, n), spec.zero)
+    for s, d, w in edges:
+        arr[s, d] = spec.add(arr[s, d], w)
+    return arr
+
+
 def adjacency_matrix(g: Graph, spec: SemiringSpec = MINPLUS) -> SemiringMatrix:
     """Edge-weight matrix with absent arcs at the zero element; parallel
     edges combine by (+)."""
-    arr = np.full((g.n, g.n), spec.zero)
-    for s, d, w in g.edges:
-        arr[s, d] = spec.add(arr[s, d], w)
-    return SemiringMatrix(arr, spec)
+    return SemiringMatrix(_accumulate(g.n, g.edges, spec), spec)
 
 
 def shortest_paths(g: Graph) -> SemiringMatrix:

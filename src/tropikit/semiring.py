@@ -29,10 +29,6 @@ from .errors import DomainError, NotIdempotent, SpecMismatch
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-# Float64 elements per pairwise temporary in _reduce_rows: 256 KiB, which
-# stays in L2 whatever the size of the problem.
-_BLOCK = 1 << 15
-
 
 def _positive_finite(x, what: str) -> float:
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
@@ -277,18 +273,9 @@ def _same_spec(x, y) -> SemiringSpec:
     return x.spec
 
 
-def _reduce_rows(spec: SemiringSpec, out: np.ndarray, width: int, term: Callable) -> None:
-    """Fill out[s] = spec.add_reduce(term(s), axis=1) for consecutive row slices s.
-
-    term(s) builds the pairwise array of the rows in s, width elements per
-    row.  A slice takes as many rows as fit in _BLOCK elements, at least one,
-    so the temporary stays bounded; each output row is still reduced whole,
-    through the same float operations as a single unblocked reduction.
-    """
-    rows = max(1, _BLOCK // max(1, width))
-    for lo in range(0, out.shape[0], rows):
-        s = slice(lo, lo + rows)
-        out[s] = spec.add_reduce(term(s), axis=1)
+def _require_idempotent(spec: SemiringSpec, what: str) -> None:
+    if not spec.idempotent:
+        raise NotIdempotent(f"{what} needs an idempotent addition; {spec.name} has none")
 
 
 # --- scalar operations with domain checking --------------------------------
@@ -309,12 +296,17 @@ def add(a, b, spec: SemiringSpec) -> float:
 
 
 def mul(a, b, spec: SemiringSpec) -> float:
-    """a (x) b in the given semiring; the zero element absorbs unconditionally."""
+    """a (x) b in the given semiring; the zero element absorbs unconditionally.
+    DomainError if the product of two finite values overflows float64."""
     a = _require_member(a, spec)
     b = _require_member(b, spec)
     if a == spec.zero or b == spec.zero:
         return spec.zero
-    return float(spec.mul(a, b)) + 0.0
+    with np.errstate(over="ignore"):
+        p = float(spec.mul(a, b)) + 0.0
+    if math.isinf(p) and math.isfinite(a) and math.isfinite(b):
+        raise DomainError(f"{a!r} (x) {b!r} overflows float64 in {spec.name}")
+    return p
 
 
 def leq(a, b, spec: SemiringSpec) -> bool:
@@ -323,8 +315,7 @@ def leq(a, b, spec: SemiringSpec) -> bool:
     Only meaningful when addition is idempotent; note that for minplus this
     order runs opposite to the numeric one (the zero element +inf is least).
     """
-    if not spec.idempotent:
-        raise NotIdempotent(f"{spec.name} has no idempotent addition, so no standard order")
+    _require_idempotent(spec, "the standard order")
     return add(a, b, spec) == float(b) + 0.0
 
 

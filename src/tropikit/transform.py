@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatch
-from .semiring import MAXPLUS, MINPLUS
+from .semiring import MAXPLUS, MINPLUS, SemiringSpec, _positive_finite
 
 # The idempotent semiring each convention integrates in.
 _SPECS = {"maxplus": MAXPLUS, "minplus": MINPLUS}
@@ -80,11 +80,17 @@ class SampledFunction:
         return hash((self.start, self.step, self.convention, self.values.tobytes()))
 
 
-def _same_grid(phi: SampledFunction, psi: SampledFunction) -> None:
+def _same_convention(phi: SampledFunction, psi: SampledFunction) -> SemiringSpec:
     if phi.convention != psi.convention:
         raise GridMismatch(f"mixed conventions: {phi.convention} vs {psi.convention}")
+    return _SPECS[phi.convention]
+
+
+def _same_grid(phi: SampledFunction, psi: SampledFunction) -> SemiringSpec:
+    spec = _same_convention(phi, psi)
     if phi.start != psi.start or phi.step != psi.step or len(phi) != len(psi):
         raise GridMismatch("functions are sampled on different grids")
+    return spec
 
 
 def idempotent_integral(phi: SampledFunction) -> float:
@@ -93,24 +99,34 @@ def idempotent_integral(phi: SampledFunction) -> float:
 
 
 def integral_wrt_measure(phi: SampledFunction, psi: SampledFunction) -> float:
-    """Integral of phi against the density psi: extremum of phi + psi."""
-    _same_grid(phi, psi)
-    return float(_SPECS[phi.convention].add_reduce(phi.values + psi.values, axis=0)) + 0.0
+    """Integral of phi against the density psi: extremum of phi + psi.
+    DomainError if the winning phi(x) + psi(x) overflows float64."""
+    spec = _same_grid(phi, psi)
+    with np.errstate(over="ignore"):
+        out = float(spec.add_reduce(phi.values + psi.values, axis=0)) + 0.0
+    # an infinite result is the zero only if no finite pair reaches it
+    if math.isinf(out) and np.any(np.isfinite(phi.values) & np.isfinite(psi.values)):
+        raise DomainError("integral_wrt_measure: phi(x) + psi(x) overflows float64")
+    return out
 
 
 def pointwise_add(phi: SampledFunction, psi: SampledFunction) -> SampledFunction:
     """(+) of functions: pointwise max (or min)."""
-    _same_grid(phi, psi)
-    values = _SPECS[phi.convention].add(phi.values, psi.values)
+    values = _same_grid(phi, psi).add(phi.values, psi.values)
     return SampledFunction(phi.start, phi.step, values, phi.convention)
 
 
 def scalar_mul(c: float, phi: SampledFunction) -> SampledFunction:
-    """(x) by a scalar: shift the whole function by c."""
+    """(x) by a scalar: shift the whole function by c.  DomainError if
+    some finite phi(x) + c overflows float64."""
     c = float(c)
     if not math.isfinite(c):
         raise DomainError(f"scalar must be finite, got {c!r}")
-    return SampledFunction(phi.start, phi.step, phi.values + c, phi.convention)
+    with np.errstate(over="ignore"):
+        values = phi.values + c
+    if np.any(np.isinf(values) & np.isfinite(phi.values)):
+        raise DomainError("scalar_mul: phi(x) + c overflows float64")
+    return SampledFunction(phi.start, phi.step, values, phi.convention)
 
 
 def convolution(phi: SampledFunction, psi: SampledFunction) -> SampledFunction:
@@ -121,11 +137,9 @@ def convolution(phi: SampledFunction, psi: SampledFunction) -> SampledFunction:
     sample at 0 with value 0 is the unit.  DomainError if a winning
     phi(x) + psi(g - x) overflows.
     """
-    if phi.convention != psi.convention:
-        raise GridMismatch(f"mixed conventions: {phi.convention} vs {psi.convention}")
+    spec = _same_convention(phi, psi)
     if phi.step != psi.step:
         raise GridMismatch(f"mixed steps: {phi.step!r} vs {psi.step!r}")
-    spec = _SPECS[phi.convention]
     # one Python step per sample of the shorter operand
     a, b = sorted((phi.values, psi.values), key=len)
     nb = b.size
@@ -280,12 +294,8 @@ def hopf_lax_evolve(s0: SampledFunction, t: float, m: float = 1.0) -> SampledFun
     """
     if s0.convention != "minplus":
         raise DomainError("the evolution acts on minplus initial data")
-    t = float(t)
-    m = float(m)
-    if not (math.isfinite(t) and t > 0):
-        raise DomainError(f"time must be a positive real, got {t!r}")
-    if not (math.isfinite(m) and m > 0):
-        raise DomainError(f"mass must be a positive real, got {m!r}")
+    t = _positive_finite(float(t), "time")
+    m = _positive_finite(float(m), "mass")
     c = m / (2.0 * t)
     if not 0.0 < c < math.inf:
         how = "underflows to 0" if c == 0.0 else "overflows"

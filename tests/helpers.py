@@ -11,7 +11,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from tropikit import NonConvergent, SemiringMatrix
+from tropikit import (
+    DomainError,
+    IntervalMatrix,
+    IntervalValue,
+    NonConvergent,
+    SemiringMatrix,
+    interval_add,
+)
 
 INF = math.inf
 
@@ -106,6 +113,50 @@ def brute_hopf_lax(s0, t, m=1.0):
     c = m / (2.0 * t)
     diff = ys[:, None] - ys[None, :]
     return np.min(s0.values + c * (diff * diff), axis=1)
+
+
+def per_edge_interval_adjacency(n, edges, spec):
+    """tropikit.interval_adjacency one edge at a time: each edge becomes an
+    IntervalValue and joins its arc by interval_add.  The reference for the
+    split of all edges at once."""
+    lo = np.full((n, n), spec.zero)
+    hi = np.full((n, n), spec.zero)
+    for s, d, wmin, wmax in edges:
+        s, d = int(s), int(d)
+        if not (0 <= s < n and 0 <= d < n):
+            raise DomainError(f"edge ({s}, {d}) out of range for {n} nodes")
+        iv = IntervalValue.from_numeric(wmin, wmax, spec)
+        cur = IntervalValue(lo[s, d], hi[s, d], spec)
+        new = interval_add(cur, iv)
+        lo[s, d], hi[s, d] = new.lower, new.upper
+    return IntervalMatrix.from_arrays(lo, hi, spec)
+
+
+def per_entry_parse_interval_matrix(text, spec):
+    """tropikit.fileio.parse_interval_matrix one entry at a time through
+    IntervalValue.from_numeric, with plain float() tokens.  ValueError for a
+    malformed file."""
+    lo_rows, hi_rows = [], []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        vals = [float(t) for t in line.split()]
+        if len(vals) % 2 or any(math.isnan(v) for v in vals):
+            raise ValueError(line)
+        if lo_rows and len(vals) != 2 * len(lo_rows[0]):
+            raise ValueError(line)
+        lo_rows.append(vals[0::2])
+        hi_rows.append(vals[1::2])
+    if not lo_rows:
+        raise ValueError("no rows")
+    lo = np.empty((len(lo_rows), len(lo_rows[0])))
+    hi = np.empty_like(lo)
+    for i in range(lo.shape[0]):
+        for j in range(lo.shape[1]):
+            iv = IntervalValue.from_numeric(lo_rows[i][j], hi_rows[i][j], spec)
+            lo[i, j], hi[i, j] = iv.lower, iv.upper
+    return IntervalMatrix.from_arrays(lo, hi, spec)
 
 
 def dyadic(rng, size=None, lo=-8.0, hi=8.0, grain=64):

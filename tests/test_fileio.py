@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import per_entry_parse_interval_matrix
 
 from tropikit import (
     FileFormatError,
     IntervalMatrix,
+    MAXMIN,
     MAXPLUS,
     MINPLUS,
     SampledFunction,
     SemiringMatrix,
+    TropikitError,
     get_semiring,
     interval_adjacency,
     tropical_curve_2d,
@@ -107,6 +110,43 @@ def test_interval_matrix_round_trip():
     assert got.lower == X.lower and got.upper == X.upper
     with pytest.raises(FileFormatError):
         parse_interval_matrix("1 2 3\n", MINPLUS)  # odd token count
+
+
+_TOKENS = ["0", "-0.0", "1.5", "-2.25", "7", "1e308", "-1e308", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("spec", [MINPLUS, MAXPLUS, MAXMIN], ids=lambda s: s.name)
+def test_parse_interval_matrix_is_bitwise_the_per_entry_oracle(spec):
+    rng = np.random.default_rng(43)
+    outcomes = set()
+    for _ in range(400):
+        rows, cols = (int(k) for k in rng.integers(1, 5, 2))
+        cells = rng.choice(_TOKENS, (rows, 2 * cols)).tolist()
+        if rng.random() < 0.1:
+            cells[rng.integers(rows)][rng.integers(2 * cols)] = "nan"
+        if rng.random() < 0.1:
+            cells[rng.integers(rows)].pop()  # an odd or ragged row
+        lines = ["\t".join(row) for row in cells]
+        lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", "# note"]))
+        text = "\n".join(lines) + "\n"
+        try:
+            want = per_entry_parse_interval_matrix(text, spec)
+        except ValueError:
+            with pytest.raises(FileFormatError):
+                parse_interval_matrix(text, spec)
+            outcomes.add("malformed")
+            continue
+        except TropikitError as e:
+            with pytest.raises(TropikitError) as got:
+                parse_interval_matrix(text, spec)
+            assert type(got.value) is type(e)
+            outcomes.add(type(e).__name__)
+            continue
+        got = parse_interval_matrix(text, spec)
+        assert got.lower.data.tobytes() == want.lower.data.tobytes()
+        assert got.upper.data.tobytes() == want.upper.data.tobytes()
+        outcomes.add("equal")
+    assert outcomes == {"equal", "malformed"} | ({"DomainError"} if spec is not MAXMIN else set())
 
 
 def test_parse_poly():

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from helpers import per_edge_interval_adjacency
 from hypothesis import given
 from hypothesis import strategies as st
 
 import tropikit.interval as interval_mod
 import tropikit.linalg as linalg_mod
 from tropikit import (
+    MAXMIN,
     MAXPLUS,
     MINPLUS,
     NONNEG,
@@ -18,6 +20,7 @@ from tropikit import (
     NotIdempotent,
     SemiringMatrix,
     SpecMismatch,
+    TropikitError,
     interval_add,
     interval_adjacency,
     interval_bellman,
@@ -27,6 +30,7 @@ from tropikit import (
     leq,
     solve_bellman_jacobi,
 )
+from tropikit.fileio import parse_interval_matrix
 
 INF = math.inf
 
@@ -127,6 +131,52 @@ def test_interval_matrix_ops_are_endpointwise():
     want_hi = (hi[:, :, None] + hi[None, :, :]).min(axis=1)
     assert np.array_equal(lo_p, want_lo)
     assert np.array_equal(hi_p, want_hi)
+
+
+_SPECIAL_WEIGHTS = [0.0, -0.0, 1e308, -1e308, INF, -INF, math.nan]
+
+
+@pytest.mark.parametrize("spec", [MINPLUS, MAXPLUS, MAXMIN], ids=lambda s: s.name)
+def test_interval_adjacency_is_bitwise_the_per_edge_oracle(spec):
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for _ in range(600):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(0, 13))  # over few nodes: many parallel edges
+        nodes = rng.integers(0, n, (m, 2)).tolist()
+        weights = (rng.integers(-64, 65, (m, 2)) / 8).tolist()
+        rate = rng.choice([0.0, 0.05, 0.3])
+        for row in weights:
+            for k in range(2):
+                if rng.random() < rate:
+                    row[k] = float(rng.choice(_SPECIAL_WEIGHTS))
+        if m and rng.random() < 0.15:
+            # out of range, or in range only once truncated as int() does
+            nodes[rng.integers(m)][rng.integers(2)] = rng.choice([-1, n, n + 3, -0.5, n - 0.5])
+        edges = [(s, d, a, b) for (s, d), (a, b) in zip(nodes, weights)]
+        try:
+            want = per_edge_interval_adjacency(n, edges, spec)
+        except TropikitError as e:
+            with pytest.raises(TropikitError) as got:
+                interval_adjacency(n, edges, spec)
+            assert type(got.value) is type(e)
+            outcomes.add(type(e).__name__)
+            continue
+        got = interval_adjacency(n, edges, spec)
+        assert got.lower.data.tobytes() == want.lower.data.tobytes()
+        assert got.upper.data.tobytes() == want.upper.data.tobytes()
+        outcomes.add("equal")
+    assert outcomes == {"equal", "DomainError"}
+
+
+def test_interval_builders_make_no_interval_value(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an IntervalValue was built")
+
+    monkeypatch.setattr(IntervalValue, "__init__", refuse)
+    H = interval_adjacency(3, [(0, 1, 1.0, 2.0), (0, 1, 3.0, 0.5), (2, 0, INF, 4.0)])
+    assert H.numeric_bounds()[0][0, 1] == 0.5 and H.numeric_bounds()[1][0, 1] == 2.0
+    assert parse_interval_matrix("1 2 4 3\n", MAXPLUS).upper.data.tolist() == [[2.0, 4.0]]
 
 
 def test_interval_bellman_worked_example():

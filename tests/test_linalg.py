@@ -222,6 +222,20 @@ def test_kleene_star_requires_idempotent_addition():
         kleene_star(SemiringMatrix([[0.5]], NONNEG))
 
 
+@pytest.mark.parametrize("spec,big", [(MAXPLUS, 1e308), (MINPLUS, -1e308)], ids=["maxplus", "minplus"])
+def test_bellman_overflow_is_a_domain_error(spec, big):
+    # X[0] = H[0, 1] (x) F[1] = big + big leaves float64; Gauss-Seidel used to
+    # meet the overflow with the zero (-inf + inf = NaN) and sweep until its
+    # budget ran out, Jacobi to warn and fail the carrier check
+    H = SemiringMatrix([[spec.zero, big], [spec.zero, spec.zero]], spec)
+    F = SemiringMatrix([[0.0], [big]], spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (solve_bellman_jacobi, solve_bellman_gauss_seidel):
+            with pytest.raises(DomainError, match="overflows float64"):
+                solve(H, F)
+
+
 def test_jacobi_worked_example():
     H = minplus_mat([[INF, 1.0], [INF, INF]])
     F = minplus_mat([[INF], [0.0]])

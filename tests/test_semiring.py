@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ def test_zero_absorbs_without_nan():
     assert mul(POS_INF, NEG_INF, MAXMIN) == NEG_INF
     assert mul(NEG_INF, 7.0, MAXPLUS) == NEG_INF
     assert mul(POS_INF, 7.0, MINPLUS) == POS_INF
+
+
+def test_mul_overflow_is_a_domain_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # +inf is outside the maxplus carrier; -inf would read as its zero
+        for a, spec in ((1e308, MAXPLUS), (-1e308, MAXPLUS), (-1e308, MINPLUS), (1e200, NONNEG)):
+            with pytest.raises(DomainError, match="overflows float64"):
+                mul(a, a, spec)
+        assert mul(1e308, -1e308, MAXPLUS) == 0.0
+        assert mul(1e308, 1e308, MAXMIN) == 1e308
 
 
 def test_domain_rejections():

@@ -77,6 +77,22 @@ def test_integral_wrt_measure():
         integral_wrt_measure(phi, grid_fn(0.0, 1.0, [0.0, 0.0, 0.0], "minplus"))
 
 
+def test_scalar_mul_and_integral_overflow_is_a_domain_error():
+    f = grid_fn(0.0, 1.0, [1e308])
+    low = grid_fn(0.0, 1.0, [-1e308, -INF])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: scalar_mul(1e308, f), lambda: integral_wrt_measure(f, f),
+                     # -1e308 + -1e308 would read as the zero -inf
+                     lambda: scalar_mul(-1e308, low), lambda: integral_wrt_measure(low, low)):
+            with pytest.raises(DomainError, match="overflows float64"):
+                call()
+        # an overflowing term that does not win is harmless, and the zero stays
+        g = grid_fn(0.0, 1.0, [-1e308, 5.0, -INF])
+        assert integral_wrt_measure(g, g) == 10.0
+        assert list(scalar_mul(1.0, g).values) == [1.0 - 1e308, 6.0, -INF]
+
+
 def test_integral_linearity_is_exact():
     # integral(a*phi (+) b*psi) = a*integral(phi) (+) b*integral(psi), bitwise
     rng = np.random.default_rng(61)
@@ -529,6 +545,8 @@ def test_transforms_never_form_nan(a, b, conv, start, step, t, m, xi_start, xi_s
         lambda: hopf_lax_evolve(fn(a, "minplus"), t, m),
         lambda: legendre(fn(a, "maxplus"), xi_start, xi_step, xi_count),
         lambda: convolution(fn(a, conv), fn(b, conv)),
+        lambda: scalar_mul(xi_start, fn(a, conv)),
+        lambda: integral_wrt_measure(fn(a, conv), fn(a[::-1], conv)),
     )
     for call in calls:
         with warnings.catch_warnings():
@@ -537,7 +555,7 @@ def test_transforms_never_form_nan(a, b, conv, start, step, t, m, xi_start, xi_s
                 out = call()
             except TropikitError:
                 continue
-        assert not np.any(np.isnan(out.values))
+        assert not np.any(np.isnan(getattr(out, "values", out)))
 
 
 def test_envelopes_are_linear_time():
