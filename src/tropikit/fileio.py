@@ -7,7 +7,6 @@ Writers always end with a newline and use LF regardless of platform.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,14 +31,21 @@ def _float_lines(a: np.ndarray, sep: str) -> list:
     return [line % tuple(row.tolist()) for row in a]
 
 
-def parse_float(tok: str) -> float:
+def _token_fault(tok: str, dtype) -> str | None:
+    """Why np.loadtxt reads tok as no value of dtype (int64 or float), or None."""
     try:
-        x = float(tok)
+        x = np.loadtxt([tok], dtype=dtype, comments=None)
     except ValueError:
-        raise FileFormatError(f"not a number: {tok!r}") from None
-    if math.isnan(x):
-        raise FileFormatError("NaN is not a carrier value")
-    return x
+        return f"bad integer {tok!r}" if dtype is np.int64 else f"not a number: {tok!r}"
+    return "NaN is not a carrier value" if np.isnan(x) else None
+
+
+def parse_float(tok: str) -> float:
+    """One float token, in the grammar of the array reader below."""
+    fault = _token_fault(tok, float)
+    if fault:
+        raise FileFormatError(fault)
+    return float(tok)
 
 
 def fmt_frac(q) -> str:
@@ -55,64 +61,94 @@ def parse_frac(tok: str) -> Fraction:
 
 
 def _data_lines(text: str):
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield ln, line
+    """(file line numbers, stripped lines) of the lines that hold data: all
+    but blank lines and # comment lines."""
+    lines = [raw.strip() for raw in text.splitlines()]
+    lns = [ln for ln, line in enumerate(lines, start=1) if line and line[0] != "#"]
+    return lns, [lines[ln - 1] for ln in lns]
 
 
-def _header_int(lines, key: str) -> int:
-    try:
-        ln, line = next(lines)
-    except StopIteration:
-        raise FileFormatError(f"missing '{key} <count>' header") from None
-    parts = line.split()
+def _header_int(lns, lines, key: str) -> int:
+    if not lines:
+        raise FileFormatError(f"missing '{key} <count>' header")
+    parts = lines[0].split()
     if len(parts) != 2 or parts[0] != key:
-        raise FileFormatError(f"line {ln}: expected '{key} <count>', got {line!r}")
+        raise FileFormatError(f"line {lns[0]}: expected '{key} <count>', got {lines[0]!r}")
+    if _token_fault(parts[1], np.int64):
+        raise FileFormatError(f"line {lns[0]}: bad count {parts[1]!r}")
+    return int(parts[1])
+
+
+def _fields_fault(toks, dtypes) -> str | None:
+    """The first _token_fault of toks read as dtypes, or None."""
+    return next(filter(None, map(_token_fault, toks, dtypes)), None)
+
+
+def _no_nan(a) -> bool:
+    return not np.isnan(a).any()
+
+
+def _read(lns, lines, dtype, line_fault, rows_ok) -> np.ndarray:
+    """The data lines as one array, converted by a single np.loadtxt call:
+    a 2-D float array, or one record per line for a structured dtype.
+
+    If numpy rejects the lines, or rows_ok(array) is false, the first line
+    that line_fault(line) finds at fault raises FileFormatError naming its
+    file line.  numpy's message is not used: it counts rows, not file lines.
+    """
     try:
-        return int(parts[1])
+        arr = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1 if dtype.names else 2)
+        if rows_ok(arr):
+            return arr
     except ValueError:
-        raise FileFormatError(f"line {ln}: bad count {parts[1]!r}") from None
+        pass
+    for ln, line in zip(lns, lines):
+        fault = line_fault(line)
+        if fault:
+            raise FileFormatError(f"line {ln}: {fault}")
+    raise FileFormatError("unreadable numeric data")
 
 
 # --- graphs -------------------------------------------------------------------
 
 
+_EDGE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", float)])
+_INTERVAL_EDGE = np.dtype([("src", np.int64), ("dst", np.int64), ("wmin", float), ("wmax", float)])
+
+
+def _records(lns, lines, dtype: np.dtype, layout: str, rows_ok, record_fault=lambda toks: None):
+    """The edge lines as one record array of dtype, each line reading layout."""
+
+    def fault(line):
+        toks = line.split()
+        if len(toks) != len(dtype):
+            return f"expected {layout!r}, got {line!r}"
+        return _fields_fault(toks, [dtype[f].type for f in dtype.names]) or record_fault(toks)
+
+    if not lines:
+        return np.empty(0, dtype)
+    return _read(lns, lines, dtype, fault, rows_ok)
+
+
 def parse_graph(text: str) -> Graph:
-    lines = _data_lines(text)
-    n = _header_int(lines, "n")
-    edges = []
-    for ln, line in lines:
-        parts = line.split()
-        if len(parts) != 3:
-            raise FileFormatError(f"line {ln}: expected 'src dst weight', got {line!r}")
-        edges.append((int_token(parts[0], ln), int_token(parts[1], ln), parse_float(parts[2])))
-    return Graph(n, tuple(edges))
+    lns, lines = _data_lines(text)
+    n = _header_int(lns, lines, "n")
+    edges = _records(lns[1:], lines[1:], _EDGE, "src dst weight", lambda a: _no_nan(a["w"]))
+    return Graph(n, edges)
+
+
+def _order_fault(toks):
+    lo, hi = float(toks[2]), float(toks[3])
+    return f"wmin {lo!r} exceeds wmax {hi!r}" if lo > hi else None
 
 
 def parse_interval_graph(text: str):
-    """Returns (n, [(src, dst, wmin, wmax), ...]) with numeric bounds."""
-    lines = _data_lines(text)
-    n = _header_int(lines, "n")
-    edges = []
-    for ln, line in lines:
-        parts = line.split()
-        if len(parts) != 4:
-            raise FileFormatError(f"line {ln}: expected 'src dst wmin wmax', got {line!r}")
-        lo = parse_float(parts[2])
-        hi = parse_float(parts[3])
-        if lo > hi:
-            raise FileFormatError(f"line {ln}: wmin {lo!r} exceeds wmax {hi!r}")
-        edges.append((int_token(parts[0], ln), int_token(parts[1], ln), lo, hi))
+    """Returns (n, edges), edges a record array with fields src, dst, wmin, wmax."""
+    lns, lines = _data_lines(text)
+    n = _header_int(lns, lines, "n")
+    edges = _records(lns[1:], lines[1:], _INTERVAL_EDGE, "src dst wmin wmax",
+                     lambda a: bool(np.all(a["wmin"] <= a["wmax"])), _order_fault)
     return n, edges
-
-
-def int_token(tok: str, ln: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise FileFormatError(f"line {ln}: bad integer {tok!r}") from None
 
 
 # --- matrices -------------------------------------------------------------------
@@ -124,15 +160,17 @@ def format_matrix(M: SemiringMatrix) -> str:
 
 def _float_rows(text: str, what: str) -> np.ndarray:
     """The data lines of text as a 2-D float array, if all have one width."""
-    rows = []
-    for ln, line in _data_lines(text):
-        vals = [parse_float(t) for t in line.split()]
-        if rows and len(vals) != len(rows[0]):
-            raise FileFormatError(f"line {ln}: ragged row ({len(vals)} of {len(rows[0])} entries)")
-        rows.append(vals)
-    if not rows:
+    lns, lines = _data_lines(text)
+    if not lines:
         raise FileFormatError(f"{what} file has no rows")
-    return np.array(rows)
+    width = len(lines[0].split())
+
+    def fault(line):
+        toks = line.split()
+        return _fields_fault(toks, [float] * len(toks)) or (
+            len(toks) != width and f"ragged row ({len(toks)} of {width} entries)")
+
+    return _read(lns, lines, np.dtype(float), fault, _no_nan)
 
 
 def parse_matrix(text: str, spec: SemiringSpec) -> SemiringMatrix:
@@ -161,10 +199,10 @@ def parse_poly(text: str):
 
     Coefficients parse exactly as rationals; callers needing floats convert.
     """
-    lines = _data_lines(text)
-    n = _header_int(lines, "n")
+    lns, lines = _data_lines(text)
+    n = _header_int(lns, lines, "n")
     terms = []
-    for ln, line in lines:
+    for ln, line in zip(lns[1:], lines[1:]):
         parts = line.split()
         if len(parts) != n + 1:
             raise FileFormatError(f"line {ln}: expected coeff and {n} exponents, got {line!r}")
@@ -215,11 +253,11 @@ def format_curve(curve: TropicalCurve) -> str:
 
 
 def parse_curve(text: str) -> TropicalCurve:
-    lines = list(_data_lines(text))
-    if not lines or lines[0][1] != _CURVE_HEADER:
+    lns, lines = _data_lines(text)
+    if not lines or lines[0] != _CURVE_HEADER:
         raise FileFormatError(f"curve file must start with the header {_CURVE_HEADER!r}")
     pieces = []
-    for ln, line in lines[1:]:
+    for ln, line in zip(lns[1:], lines[1:]):
         toks = line.split(",")
         if len(toks) != 6:
             raise FileFormatError(f"line {ln}: expected 6 comma-separated fields")
@@ -249,11 +287,11 @@ def format_points(arr) -> str:
 
 
 def parse_points(text: str) -> np.ndarray:
-    lines = list(_data_lines(text))
-    if not lines or lines[0][1] != _POINTS_HEADER:
+    lns, lines = _data_lines(text)
+    if not lines or lines[0] != _POINTS_HEADER:
         raise FileFormatError(f"points file must start with the header {_POINTS_HEADER!r}")
     rows = []
-    for ln, line in lines[1:]:
+    for ln, line in zip(lns[1:], lines[1:]):
         toks = line.split(",")
         if len(toks) != 2:
             raise FileFormatError(f"line {ln}: expected 2 comma-separated fields")
@@ -271,11 +309,10 @@ def format_function(f: SampledFunction) -> str:
 
 
 def parse_function(text: str) -> SampledFunction:
-    lines = _data_lines(text)
-    try:
-        ln, head = next(lines)
-    except StopIteration:
-        raise FileFormatError("function file is empty") from None
+    lns, lines = _data_lines(text)
+    if not lines:
+        raise FileFormatError("function file is empty")
+    ln, head = lns[0], lines[0]
     parts = head.split()
     if len(parts) != 6 or parts[0] != "start" or parts[2] != "step" or parts[4] != "convention":
         raise FileFormatError(f"line {ln}: bad function header {head!r}")
@@ -284,10 +321,14 @@ def parse_function(text: str) -> SampledFunction:
     convention = parts[5]
     if convention not in ("maxplus", "minplus"):
         raise FileFormatError(f"line {ln}: unknown convention {convention!r}")
-    vals = [parse_float(line) for _, line in lines]
-    if not vals:
+    if len(lines) == 1:
         raise FileFormatError("function file has no samples")
-    return SampledFunction(start, step, np.array(vals), convention)
+
+    def fault(line):
+        return f"not a number: {line!r}" if len(line.split()) != 1 else _token_fault(line, float)
+
+    vals = _read(lns[1:], lines[1:], np.dtype(float), fault, lambda a: a.shape[1] == 1 and _no_nan(a))
+    return SampledFunction(start, step, vals[:, 0], convention)
 
 
 # --- path helpers -----------------------------------------------------------------

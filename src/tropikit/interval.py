@@ -156,22 +156,18 @@ def interval_matrix_mul(A: IntervalMatrix, B: IntervalMatrix) -> IntervalMatrix:
 
 
 def interval_adjacency(n: int, edges, spec: SemiringSpec = MINPLUS) -> IntervalMatrix:
-    """Interval edge matrix from (src, dst, wmin, wmax) rows.
+    """Interval edge matrix from (src, dst, wmin, wmax) rows, or a record
+    array of those four fields.
 
     Numeric bounds are converted to standard-order endpoints, all edges at
     once; parallel edges combine by interval (+); absent arcs are the
     degenerate zero interval.
     """
-    rows = np.array(edges, dtype=float).reshape(len(edges), 4)
-    # int(x) lies in [0, n) exactly when -1 < x < n
-    bad = ~np.all((rows[:, :2] > -1) & (rows[:, :2] < n), axis=1)
-    if bad.any():
-        s, d = edges[int(np.argmax(bad))][:2]
-        raise DomainError(f"edge ({s}, {d}) out of range for {n} nodes")
-    src, dst = rows[:, :2].astype(np.intp).T.tolist()
-    w = IntervalMatrix.from_numeric(rows[:, 2:3], rows[:, 3:4], spec)
-    lo = linalg._accumulate(n, zip(src, dst, w.lower.data[:, 0].tolist()), spec)
-    hi = linalg._accumulate(n, zip(src, dst, w.upper.data[:, 0].tolist()), spec)
+    src, dst, a, b = linalg._edge_columns(edges, 4)
+    src, dst = linalg._node_ids(n, src, dst)
+    w = IntervalMatrix.from_numeric(a[:, None], b[:, None], spec)
+    lo = linalg._accumulate(n, src, dst, w.lower.data[:, 0], spec)
+    hi = linalg._accumulate(n, src, dst, w.upper.data[:, 0], spec)
     return IntervalMatrix.from_arrays(lo, hi, spec)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,7 @@ class SemiringMatrix:
     there, so equality of matrices is plain bitwise comparison.
     """
 
-    __slots__ = ("spec", "data")
+    __slots__ = ("spec", "data", "_largest")
 
     def __init__(self, data, spec: SemiringSpec):
         arr = np.array(data, dtype=float, order="C")
@@ -98,10 +97,21 @@ def _overflow_is_domain_error(what: str):
             raise DomainError(f"{what}: a path weight overflows float64") from None
 
 
+def _largest_finite(M: SemiringMatrix) -> float:
+    """The largest magnitude of a finite entry of M (0.0 if none), cached:
+    M is immutable."""
+    try:
+        return M._largest
+    except AttributeError:
+        M._largest = float(np.abs(M.data[np.isfinite(M.data)]).max(initial=0.0))
+        return M._largest
+
+
 def matrix_mul(A: SemiringMatrix, B: SemiringMatrix) -> SemiringMatrix:
     """Matrix product with (+) as sum and (x) as product, in blocks of rows
     whose pairwise temporary fits _BLOCK elements (one row at least), each
-    output row reduced whole; DomainError if an overflow leaves the carrier."""
+    output row reduced whole.  DomainError if a product of finite entries
+    overflows, or an overflow leaves the carrier."""
     spec = _same_spec(A, B)
     if A.cols != B.rows:
         raise ShapeMismatch(f"cannot multiply shapes {A.shape} and {B.shape}")
@@ -109,9 +119,16 @@ def matrix_mul(A: SemiringMatrix, B: SemiringMatrix) -> SemiringMatrix:
     out = np.empty((A.rows, B.cols))
     rows = max(1, _BLOCK // max(1, b.size))
     with _overflow_is_domain_error("matrix_mul"):
+        # rounding is monotone, so no product of finite entries overflows
+        # when the product of the largest finite magnitudes does not (for
+        # a (x) that is +, *, min or max); only then is each block checked
+        risky = not np.isfinite(spec.mul(_largest_finite(A), _largest_finite(B)))
         for lo in range(0, A.rows, rows):
             s = slice(lo, lo + rows)
-            out[s] = spec.add_reduce(spec.mul(a[s, :, None], b[None, :, :]), axis=1)
+            p = spec.mul(a[s, :, None], b[None, :, :])
+            if risky and np.any(np.isinf(p) & np.isfinite(a[s, :, None]) & np.isfinite(b)):
+                raise DomainError("a finite product overflows")
+            out[s] = spec.add_reduce(p, axis=1)
         return SemiringMatrix(out, spec)
 
 
@@ -242,39 +259,93 @@ def solve_bellman_gauss_seidel(H, F, max_iter=None, full_output=False):
     raise NonConvergent(f"no fixpoint after {budget} sweeps")
 
 
-@dataclass(frozen=True)
+def _edge_columns(edges, k: int) -> list:
+    """The k columns of an edge list: the fields of a record array, or the
+    columns, as floats, of a sequence of k-tuples."""
+    if isinstance(edges, np.ndarray) and edges.dtype.names:
+        return [edges[f] for f in edges.dtype.names]
+    rows = np.array(edges, dtype=float)
+    return list(rows.reshape(len(rows), k).T)
+
+
+def _node_ids(n: int, src, dst):
+    """src and dst as int64 arrays of node ids 0..n-1; DomainError, naming
+    the first edge at fault, for an id that is NaN, fractional or out of
+    range."""
+    ok = np.ones(len(src), dtype=bool)
+    for ids in (src, dst):
+        ok &= (ids >= 0) & (ids < n) & (ids == np.trunc(ids))  # NaN fails all three
+    if not ok.all():
+        i = int(np.argmin(ok))
+        s, d = (repr(float(x)).removesuffix(".0") for x in (src[i], dst[i]))
+        raise DomainError(f"edge ({s}, {d}) out of range for {n} nodes")
+    return src.astype(np.int64), dst.astype(np.int64)
+
+
 class Graph:
-    """Weighted directed graph; node ids are 0..n-1, parallel edges allowed."""
+    """Weighted directed graph; node ids are 0..n-1, parallel edges allowed.
 
-    n: int
-    edges: tuple
+    Built from (src, dst, weight) triples or a record array of three fields,
+    and held as three read-only arrays: src, dst (int64) and w (float64).
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("n", "src", "dst", "w")
+
+    def __init__(self, n: int, edges=()):
+        if n < 1:
             raise DomainError("graph needs at least one node")
-        clean = []
-        for e in self.edges:
-            s, d, w = int(e[0]), int(e[1]), float(e[2])
-            if not (0 <= s < self.n and 0 <= d < self.n):
-                raise DomainError(f"edge ({s}, {d}) out of range for {self.n} nodes")
-            if not np.isfinite(w):
-                raise DomainError(f"edge weight must be finite, got {w!r}")
-            clean.append((s, d, w))
-        object.__setattr__(self, "edges", tuple(clean))
+        src, dst, w = _edge_columns(edges, 3)
+        src, dst = _node_ids(n, src, dst)
+        w = np.array(w, dtype=float)
+        if not np.isfinite(w).all():
+            raise DomainError(f"edge weight must be finite, got {float(w[~np.isfinite(w)][0])!r}")
+        for a in (src, dst, w):
+            a.setflags(write=False)
+        self.n, self.src, self.dst, self.w = n, src, dst, w
+
+    @property
+    def edges(self) -> tuple:
+        """The edges as (src, dst, weight) triples of int, int, float."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"Graph(n={self.n}, edges={self.edges!r})"
 
 
-def _accumulate(n: int, edges, spec: SemiringSpec) -> np.ndarray:
-    """n x n zero matrix with each (src, dst, w) of edges added in by (+)."""
-    arr = np.full((n, n), spec.zero)
-    for s, d, w in edges:
-        arr[s, d] = spec.add(arr[s, d], w)
-    return arr
+def _accumulate(n: int, src, dst, w, spec: SemiringSpec) -> np.ndarray:
+    """n x n zero matrix with each w[i] added into (src[i], dst[i]) by (+).
+
+    One spec.add call per occurrence rank: the r-th edge of every arc at
+    once, so each entry is the left fold over its edges in edge order, as
+    one edge at a time would give.
+    """
+    key = src * n + dst
+    order = np.argsort(key, kind="stable")  # by arc, in edge order within one
+    k = key[order]
+    at = np.arange(len(k))
+    rank = at - np.maximum.accumulate(np.where(np.diff(k, prepend=-1) != 0, at, 0))
+    order = order[np.argsort(rank, kind="stable")]  # by rank, then by arc
+    out = np.full(n * n, spec.zero)
+    lo = 0
+    for count in np.bincount(rank).tolist():
+        e = order[lo:lo + count]
+        out[key[e]] = spec.add(out[key[e]], w[e])
+        lo += count
+    return out.reshape(n, n)
 
 
 def adjacency_matrix(g: Graph, spec: SemiringSpec = MINPLUS) -> SemiringMatrix:
     """Edge-weight matrix with absent arcs at the zero element; parallel
     edges combine by (+)."""
-    return SemiringMatrix(_accumulate(g.n, g.edges, spec), spec)
+    return SemiringMatrix(_accumulate(g.n, g.src, g.dst, g.w, spec), spec)
 
 
 def shortest_paths(g: Graph) -> SemiringMatrix:

@@ -122,9 +122,9 @@ def per_edge_interval_adjacency(n, edges, spec):
     lo = np.full((n, n), spec.zero)
     hi = np.full((n, n), spec.zero)
     for s, d, wmin, wmax in edges:
-        s, d = int(s), int(d)
-        if not (0 <= s < n and 0 <= d < n):
+        if not all(0 <= v < n and v == int(v) for v in (s, d)):
             raise DomainError(f"edge ({s}, {d}) out of range for {n} nodes")
+        s, d = int(s), int(d)
         iv = IntervalValue.from_numeric(wmin, wmax, spec)
         cur = IntervalValue(lo[s, d], hi[s, d], spec)
         new = interval_add(cur, iv)
@@ -157,6 +157,87 @@ def per_entry_parse_interval_matrix(text, spec):
             iv = IntervalValue.from_numeric(lo_rows[i][j], hi_rows[i][j], spec)
             lo[i, j], hi[i, j] = iv.lower, iv.upper
     return IntervalMatrix.from_arrays(lo, hi, spec)
+
+
+def per_edge_accumulate(n, src, dst, w, spec):
+    """tropikit.linalg._accumulate one edge at a time: each weight joins its
+    arc by a spec.add call on the current entry.  The reference for the
+    one-call-per-occurrence-rank version."""
+    arr = np.full((n, n), spec.zero)
+    for s, d, x in zip(src, dst, w):
+        arr[s, d] = spec.add(arr[s, d], x)
+    return arr
+
+
+# --- the numeric file formats, one token at a time ------------------------------
+#
+# The readers as they were before every numeric format went through one
+# np.loadtxt call: float() or int() per token.  Each returns the parsed
+# numbers, or raises ValueError whose argument is the file line at fault
+# (None when the fault has no line: an empty file or a missing header).
+
+
+def _kept_lines(text):
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield ln, line
+
+
+def _per_token_float(tok, ln):
+    try:
+        x = float(tok)
+    except ValueError:
+        raise ValueError(ln) from None
+    if math.isnan(x):
+        raise ValueError(ln)
+    return x
+
+
+def _per_token_int(tok, ln):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(ln) from None
+
+
+def per_token_float_rows(text):
+    """The data lines as a 2-D float array, if all have one width."""
+    rows = []
+    for ln, line in _kept_lines(text):
+        vals = [_per_token_float(t, ln) for t in line.split()]
+        if rows and len(vals) != len(rows[0]):
+            raise ValueError(ln)
+        rows.append(vals)
+    if not rows:
+        raise ValueError(None)
+    return np.array(rows)
+
+
+def per_token_function_samples(text):
+    """The samples after the header line of a function file, as floats."""
+    lines = list(_kept_lines(text))[1:]
+    if not lines:
+        raise ValueError(None)
+    return np.array([_per_token_float(line, ln) for ln, line in lines])
+
+
+def per_token_edges(text, weights):
+    """(n, [(src, dst, w1, ...), ...]) of a graph file whose edge lines hold
+    two node ids and `weights` floats."""
+    lines = _kept_lines(text)
+    ln, head = next(lines)
+    n = int(head.split()[1])
+    edges = []
+    for ln, line in lines:
+        parts = line.split()
+        if len(parts) != 2 + weights:
+            raise ValueError(ln)
+        ws = tuple(_per_token_float(t, ln) for t in parts[2:])
+        if weights == 2 and ws[0] > ws[1]:
+            raise ValueError(ln)
+        edges.append((_per_token_int(parts[0], ln), _per_token_int(parts[1], ln), *ws))
+    return n, edges
 
 
 def dyadic(rng, size=None, lo=-8.0, hi=8.0, grain=64):

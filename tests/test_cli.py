@@ -131,3 +131,26 @@ def test_usage_errors_exit_2():
     assert run_cli(["axioms", "--semiring", "deformed:-1"]).returncode == 2
     assert run_cli(["hopflax", "--input", str(DATA / "s0.txt"), "--t", "-1"]).returncode == 2
     assert run_cli(["amoeba", "--h", "0"]).returncode == 2
+
+
+_F = "start 0 step 1 convention maxplus\n"
+MALFORMED = [
+    (["sp", "--graph"], "n 3\n# c\n\n0 1 nan\n", "line 4: NaN is not a carrier value"),
+    (["sp", "--graph"], "n 3\n0 1 1\n\n0 1 1.5 # tail\n", "line 4: expected 'src dst weight'"),
+    (["bellman", "--semiring", "minplus", "--f-matrix", str(DATA / "f.txt"), "--h-matrix"],
+     "# H\n0 1\n\n1 0 1\n", "line 4: ragged row (3 of 2 entries)"),
+    (["interval-bellman", "--target", "0", "--graph"], "n 2\n\n0 1 3 1\n",
+     "line 3: wmin 3.0 exceeds wmax 1.0"),
+    (["hopflax", "--t", "1", "--input"], "# s\n" + _F + "0\n1_000\n", "line 4: not a number: '1_000'"),
+]
+
+
+@pytest.mark.parametrize("argv,text,want", MALFORMED, ids=[c[0][0] + str(i) for i, c in enumerate(MALFORMED)])
+def test_malformed_numeric_file_is_one_error_line_naming_the_file_line(argv, text, want, tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    assert cli.main([*argv, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ERROR FileFormatError: " + want)
+    assert err.count("\n") == 1

@@ -3,9 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import per_entry_parse_interval_matrix
+from helpers import (
+    per_entry_parse_interval_matrix,
+    per_token_edges,
+    per_token_float_rows,
+    per_token_function_samples,
+)
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from tropikit import (
+    DomainError,
     FileFormatError,
     IntervalMatrix,
     MAXMIN,
@@ -14,11 +22,13 @@ from tropikit import (
     SampledFunction,
     SemiringMatrix,
     TropikitError,
+    adjacency_matrix,
     get_semiring,
     interval_adjacency,
     tropical_curve_2d,
 )
 from tropikit.fileio import (
+    _float_rows,
     fmt_float,
     fmt_frac,
     format_curve,
@@ -78,7 +88,8 @@ def test_parse_graph():
 
 def test_parse_interval_graph():
     n, edges = parse_interval_graph("n 2\n0 1 1 3\n")
-    assert n == 2 and edges == [(0, 1, 1.0, 3.0)]
+    assert n == 2 and edges.tolist() == [(0, 1, 1.0, 3.0)]
+    assert edges.dtype.names == ("src", "dst", "wmin", "wmax")
     with pytest.raises(FileFormatError):
         parse_interval_graph("n 2\n0 1 3 1\n")
     with pytest.raises(FileFormatError):
@@ -241,3 +252,216 @@ def test_writers_match_per_element_fmt_float():
     f = SampledFunction(-1.0, 0.125, np.array([v for v in vals if v != INF]), "maxplus")
     head = "start -1 step 0.125 convention maxplus\n"
     assert format_function(f) == head + table(f.values[:, None], "")
+
+
+# --- the array reader against the per-token reader it replaced ------------------
+
+_FORMATS = ("%.17g", "%.6g", "%.25e")
+_SPECIAL_TOKENS = ("inf", "-inf", "1e308", "-1e308", "5e-324", "-2.2250738585072009e-308")
+_float_tokens = st.one_of(
+    st.builds(str.__mod__, st.sampled_from(_FORMATS), st.floats(allow_nan=False)),
+    st.builds(str.__mod__, st.sampled_from(_FORMATS),
+              st.floats(-2.3e-308, 2.3e-308, allow_nan=False)),  # subnormals
+    st.sampled_from(_SPECIAL_TOKENS),
+)
+# a line the file may hold before a data line: nothing, a blank or a comment
+_filler = st.lists(st.sampled_from(["", "   ", "\t", "# note", "  #  1 2 3", "#"]), max_size=2)
+# each a fault of a data line: a NaN, a token numpy cannot read, an inline comment
+_BAD_TOKENS = ("nan", "NaN", "-nan", "x", "1.5.2", "#", "1e")
+
+
+@st.composite
+def _number_file(draw, lines, head=()):
+    """A file of head, then the token rows lines, with blanks and comments
+    before any of them, and maybe one fault."""
+    rows = [list(r) for r in lines]
+    if rows and draw(st.booleans()) and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i])))
+        if draw(st.booleans()):
+            rows[i].insert(j, draw(st.sampled_from(_BAD_TOKENS)))  # also a ragged row
+        elif len(rows[i]) > 1:
+            rows[i].pop(j - 1)
+    out = list(head)
+    for row in rows:
+        out += draw(_filler)
+        out.append(draw(st.sampled_from([" ", "\t", "  \t "])).join(row))
+    out += draw(_filler)
+    return "\n".join(out) + draw(st.sampled_from(["\n", ""]))
+
+
+def _same_fault(text, want_line, reader, *args):
+    event("malformed")
+    with pytest.raises(FileFormatError) as got:
+        reader(text, *args)
+    if want_line is not None:
+        assert str(got.value).startswith(f"line {want_line}: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_float_rows_is_bitwise_the_per_token_reader(data):
+    cols = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(_float_tokens, min_size=cols, max_size=cols), min_size=1, max_size=6))
+    text = data.draw(_number_file(rows))
+    try:
+        want = per_token_float_rows(text)
+    except ValueError as e:
+        return _same_fault(text, e.args[0], _float_rows, "matrix")
+    got = _float_rows(text, "matrix")
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parse_function_is_bitwise_the_per_token_reader(data):
+    tokens = _float_tokens.filter(lambda t: float(t) != INF)  # maxplus has no +inf
+    samples = data.draw(st.lists(tokens.map(lambda t: [t]), max_size=8))
+    head = ["# f", "start -1.5 step 0.25 convention maxplus"]
+    text = data.draw(_number_file(samples, head))
+    try:
+        want = per_token_function_samples(text)
+    except ValueError as e:
+        return _same_fault(text, e.args[0], parse_function)
+    got = parse_function(text)
+    assert got.values.tobytes() == (want + 0.0).tobytes()
+    assert (got.start, got.step, got.convention) == (-1.5, 0.25, "maxplus")
+
+
+@pytest.mark.parametrize("weights", [1, 2], ids=["graph", "interval-graph"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_graph_readers_are_bitwise_the_per_token_reader(weights, data):
+    n = data.draw(st.integers(1, 6))
+    ids = st.integers(0, n - 1).map(str)
+    finite = _float_tokens.filter(lambda t: math.isfinite(float(t)))
+    if weights == 1:
+        ws = finite.map(lambda t: [t])
+    else:  # ordered bounds; infinite ones are the interval reader's to accept
+        ws = st.lists(_float_tokens, min_size=2, max_size=2).map(
+            lambda p: sorted(p, key=float))
+    rows = data.draw(st.lists(st.builds(lambda s, d, w: [s, d, *w], ids, ids, ws), max_size=8))
+    text = data.draw(_number_file(rows, ["n %d" % n]))
+    parse = parse_graph if weights == 1 else parse_interval_graph
+    try:
+        n_want, edges = per_token_edges(text, weights)
+    except ValueError as e:
+        return _same_fault(text, e.args[0], parse)
+    cols = np.array([e[2:] for e in edges], dtype=float).reshape(len(edges), weights)
+    if weights == 1:
+        g = parse(text)
+        got_n, src, dst, got_w = g.n, g.src, g.dst, g.w[:, None]
+    else:
+        got_n, rec = parse(text)
+        src, dst = rec["src"], rec["dst"]
+        got_w = np.stack([rec["wmin"], rec["wmax"]], axis=1)
+    assert got_n == n_want
+    assert src.tolist() == [e[0] for e in edges] and dst.tolist() == [e[1] for e in edges]
+    assert got_w.tobytes() == cols.tobytes()
+
+
+# --- what the array reader settles differently, or keeps ------------------------
+
+
+_AFTER_TWO_FILLERS = "# a comment\n\n"
+
+
+@pytest.mark.parametrize("tok", ["1_000", "\u0661\u0662", "\uff11", "\u0663.5"])
+def test_underscores_and_non_ascii_digits_are_rejected(tok):
+    # float() and int() read all of these; the array reader reads ASCII only
+    with pytest.raises(FileFormatError, match="^line 4: not a number"):
+        parse_matrix(_AFTER_TWO_FILLERS + "1 2\n3 " + tok + "\n", MAXMIN)
+    with pytest.raises(FileFormatError, match="^line 4: not a number"):
+        parse_function("start 0 step 1 convention maxplus\n" + _AFTER_TWO_FILLERS + tok + "\n")
+    with pytest.raises(FileFormatError, match="^line 4: bad integer"):
+        parse_graph("n 3\n" + _AFTER_TWO_FILLERS + "0 " + tok + " 1.5\n")
+    with pytest.raises(FileFormatError, match="^line 4: bad integer"):
+        parse_interval_graph("n 3\n" + _AFTER_TWO_FILLERS + tok + " 0 1 2\n")
+    with pytest.raises(FileFormatError, match="^line 3: bad count"):
+        parse_graph(_AFTER_TWO_FILLERS + "n " + tok + "\n")
+    with pytest.raises(FileFormatError, match="^not a number"):
+        parse_float(tok)
+
+
+@pytest.mark.parametrize("tok", ["nan", "NaN", "-nan", "NAN"])
+def test_nan_is_rejected_with_its_line(tok):
+    want = "^line 4: NaN is not a carrier value$"
+    with pytest.raises(FileFormatError, match=want):
+        parse_matrix(_AFTER_TWO_FILLERS + "1 2\n3 " + tok + "\n", MAXMIN)
+    with pytest.raises(FileFormatError, match=want):
+        parse_interval_matrix(_AFTER_TWO_FILLERS + "1 2\n" + tok + " 4\n", MAXMIN)
+    with pytest.raises(FileFormatError, match=want):
+        parse_function("start 0 step 1 convention maxplus\n" + _AFTER_TWO_FILLERS + tok + "\n")
+    with pytest.raises(FileFormatError, match=want):
+        parse_graph("n 3\n" + _AFTER_TWO_FILLERS + "0 1 " + tok + "\n")
+    with pytest.raises(FileFormatError, match=want):
+        parse_interval_graph("n 3\n" + _AFTER_TWO_FILLERS + "0 1 " + tok + " 2\n")
+    with pytest.raises(FileFormatError, match="^NaN is not a carrier value$"):
+        parse_float(tok)
+
+
+def test_inline_comments_are_rejected_with_their_line():
+    with pytest.raises(FileFormatError, match="^line 4: not a number: '#'$"):
+        parse_matrix(_AFTER_TWO_FILLERS + "1 2\n3 1.5 # tail\n", MAXMIN)
+    with pytest.raises(FileFormatError, match="^line 4: not a number: '1.5 # tail'$"):
+        parse_function("start 0 step 1 convention maxplus\n" + _AFTER_TWO_FILLERS + "1.5 # tail\n")
+    with pytest.raises(FileFormatError, match="^line 4: expected 'src dst weight'"):
+        parse_graph("n 3\n" + _AFTER_TWO_FILLERS + "0 1 1.5 # tail\n")
+    with pytest.raises(FileFormatError, match="^line 4: not a number: '#tail'$"):
+        parse_interval_graph("n 3\n" + _AFTER_TWO_FILLERS + "0 1 1.5 #tail\n")
+
+
+def test_every_fault_names_its_file_line():
+    # blanks and comments before each faulty line; the message names the
+    # line of the file, not the row of the data
+    head = "# header comment\n\n"
+    cases = [
+        (lambda t: parse_matrix(t, MAXMIN), head + "1 2\n# c\n\n3\n", "line 6: ragged row (1 of 2 entries)"),
+        (lambda t: parse_matrix(t, MAXMIN), head + "1 2\n\n3 4 5\n", "line 5: ragged row (3 of 2 entries)"),
+        (lambda t: parse_matrix(t, MAXMIN), head + "1 2\n\n3 x\n", "line 5: not a number: 'x'"),
+        (parse_graph, head + "n 3\n\n0 1 2\n# c\n0 1\n", "line 7: expected 'src dst weight', got '0 1'"),
+        (parse_graph, head + "n 3\n0 1 2\n\n0 1.0 2\n", "line 6: bad integer '1.0'"),
+        (parse_graph, head + "n 3\n\n0 1 x\n", "line 5: not a number: 'x'"),
+        (parse_graph, head + "m 3\n", "line 3: expected 'n <count>', got 'm 3'"),
+        (parse_interval_graph, head + "n 2\n0 1 1 2\n\n# c\n0 1 3 1\n",
+         "line 7: wmin 3.0 exceeds wmax 1.0"),
+        (parse_function, head + "start 0 step 1 convention maxplus\n1\n\n1 2\n",
+         "line 6: not a number: '1 2'"),
+        (parse_function, head + "start 0 step 1 convention avg\n1\n",
+         "line 3: unknown convention 'avg'"),
+    ]
+    for parse, text, want in cases:
+        with pytest.raises(FileFormatError) as got:
+            parse(text)
+        assert str(got.value) == want
+
+
+def test_the_first_faulty_line_is_named():
+    # a NaN before a ragged row, and a bad bound order before a bad token
+    with pytest.raises(FileFormatError, match="^line 2: NaN"):
+        parse_matrix("1 2\nnan 2\n3\n", MAXMIN)
+    with pytest.raises(FileFormatError, match="^line 2: wmin"):
+        parse_interval_graph("n 2\n0 1 3 1\n0 x 1 2\n")
+
+
+def test_header_only_graph_is_edgeless():
+    g = parse_graph("# no edges\nn 3\n\n")
+    assert g.n == 3 and g.edges == () and g.src.dtype == np.int64
+    assert adjacency_matrix(g).data.tolist() == [[INF] * 3] * 3
+    n, edges = parse_interval_graph("n 2\n")
+    assert n == 2 and len(edges) == 0
+    assert interval_adjacency(n, edges).lower.data.tolist() == [[INF] * 2] * 2
+
+
+def test_empty_numeric_files_are_rejected_without_a_warning():
+    with pytest.raises(FileFormatError, match="no rows"):
+        parse_matrix("# only a comment\n\n", MINPLUS)
+    with pytest.raises(FileFormatError, match="no samples"):
+        parse_function("start 0 step 1 convention maxplus\n# none\n")
+    with pytest.raises(FileFormatError, match="header"):
+        parse_graph("\n# nothing\n")
+
+
+def test_out_of_range_ids_are_a_domain_error_after_parsing():
+    with pytest.raises(DomainError, match=r"edge \(0, 3\) out of range for 3 nodes"):
+        parse_graph("n 3\n0 1 1\n0 3 1\n")

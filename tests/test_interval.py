@@ -151,7 +151,7 @@ def test_interval_adjacency_is_bitwise_the_per_edge_oracle(spec):
                 if rng.random() < rate:
                     row[k] = float(rng.choice(_SPECIAL_WEIGHTS))
         if m and rng.random() < 0.15:
-            # out of range, or in range only once truncated as int() does
+            # out of range, or fractional: a DomainError either way
             nodes[rng.integers(m)][rng.integers(2)] = rng.choice([-1, n, n + 3, -0.5, n - 0.5])
         edges = [(s, d, a, b) for (s, d), (a, b) in zip(nodes, weights)]
         try:

@@ -1,4 +1,5 @@
 import math
+from re import escape as re_escape
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,6 +11,7 @@ from helpers import (
     dijkstra,
     is_negative_cycle,
     one_shot_product,
+    per_edge_accumulate,
     stabilized_star,
 )
 from hypothesis import given, settings
@@ -27,11 +29,13 @@ from tropikit import (
     NonConvergent,
     NotIdempotent,
     SemiringMatrix,
+    SemiringSpec,
     ShapeMismatch,
     SpecMismatch,
     TropikitError,
     adjacency_matrix,
     get_semiring,
+    interval_adjacency,
     kleene_star,
     leq,
     matrix_add,
@@ -41,6 +45,7 @@ from tropikit import (
     solve_bellman_jacobi,
 )
 from tropikit.fileio import parse_graph, read_text
+from tropikit.linalg import _accumulate
 
 INF = math.inf
 DATA = Path(__file__).resolve().parent / "data"
@@ -234,6 +239,104 @@ def test_bellman_overflow_is_a_domain_error(spec, big):
         for solve in (solve_bellman_jacobi, solve_bellman_gauss_seidel):
             with pytest.raises(DomainError, match="overflows float64"):
                 solve(H, F)
+
+
+@pytest.mark.parametrize("spec,big", [(MAXPLUS, -1e308), (MINPLUS, 1e308)], ids=["maxplus", "minplus"])
+def test_product_overflow_onto_the_zero_is_a_domain_error(spec, big):
+    # big + big rounds to the zero of spec, which the carrier check cannot see
+    with pytest.raises(DomainError, match="matrix_mul: .* overflows float64"):
+        matrix_mul(SemiringMatrix([[big]], spec), SemiringMatrix([[big]], spec))
+    # one overflowing pair is enough, even where another pair wins
+    A = SemiringMatrix([[big, 0.0]], spec)
+    with pytest.raises(DomainError, match="overflows float64"):
+        matrix_mul(A, SemiringMatrix([[big], [5.0]], spec))
+    # Jacobi used to drop the path X[0] = H[0, 1] (x) F[1] without a word
+    H = SemiringMatrix([[spec.zero, big], [spec.zero, spec.zero]], spec)
+    F = SemiringMatrix([[spec.zero], [big]], spec)
+    with pytest.raises(DomainError, match="overflows float64"):
+        solve_bellman_jacobi(H, F)
+    # large magnitudes whose products stay finite are no overflow
+    half = big / 2
+    got = matrix_mul(SemiringMatrix([[half, -big]], spec), SemiringMatrix([[half], [big]], spec))
+    assert got.data.tolist() == [[spec.add(2 * half, 0.0)]]
+
+
+def test_product_overflow_check_runs_only_near_the_float_limit(monkeypatch):
+    calls = []
+    real_isinf = np.isinf
+    monkeypatch.setattr(np, "isinf", lambda *a, **k: calls.append(1) or real_isinf(*a, **k))
+    A = SemiringMatrix([[1e300, INF], [-1e300, 0.0]], MINPLUS)
+    matrix_mul(A, A)
+    assert calls == []
+    # |1e308| + |-1e308| overflows, so the blocks are checked; 1e308 - 1e308 does not
+    got = matrix_mul(SemiringMatrix([[1e308]], MINPLUS), SemiringMatrix([[-1e308]], MINPLUS))
+    assert calls and got.data.tolist() == [[0.0]]
+
+
+def _accumulate_specs():
+    spy = SemiringSpec(name="spy", add=np.minimum, mul=None, zero=INF, one=0.0,
+                       idempotent=True, contains=None, add_reduce=None)
+    return [BOOL, MAXPLUS, MINPLUS, MAXMIN, NONNEG, get_semiring("deformed:0.5"), spy]
+
+
+@pytest.mark.parametrize("spec", _accumulate_specs(), ids=lambda s: s.name)
+def test_accumulate_is_bitwise_the_per_edge_fold(spec):
+    # parallel edges, ties and -0.0: every arc folds its weights left to
+    # right, so even the non-associative additions (nonneg, deformed) and
+    # the sign of a zero match one edge at a time
+    rng = np.random.default_rng(31)
+    sample = (spec.sample or MINPLUS.sample)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(0, 25))
+        src, dst = rng.integers(0, n, (2, m))
+        w = sample(rng, m)
+        zeros = rng.random(m) < 0.2
+        w[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+        got = _accumulate(n, src, dst, w, spec)
+        want = per_edge_accumulate(n, src, dst, w, spec)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_accumulate_calls_add_once_per_occurrence_rank():
+    calls = []
+
+    def add(a, b):
+        calls.append(np.shape(a))
+        return np.minimum(a, b)
+
+    spec = SemiringSpec(name="counting", add=add, mul=None, zero=INF, one=0.0,
+                        idempotent=True, contains=None, add_reduce=None)
+    src, dst = np.array([0, 1, 0, 0, 2, 1]), np.array([1, 1, 1, 1, 0, 1])
+    w = np.array([3.0, 2.0, 1.0, 5.0, 4.0, 0.0])
+    got = _accumulate(3, src, dst, w, spec)
+    assert calls == [(3,), (2,), (1,)]  # (0, 1) has three edges, (1, 1) two
+    assert got[0, 1] == 1.0 and got[1, 1] == 0.0 and got[2, 0] == 4.0
+
+
+_BAD_IDS = [(0.5, 0, "edge (0.5, 0)"), (0, 2, "edge (0, 2)"), (-1, 1, "edge (-1, 1)"),
+            (math.nan, 0, "edge (nan, 0)"), (1, INF, "edge (1, inf)"), (1.0, 2.0, "edge (1, 2)")]
+
+
+@pytest.mark.parametrize("s,d,msg", _BAD_IDS)
+def test_graph_and_interval_adjacency_share_the_node_id_check(s, d, msg):
+    want = f"^{re_escape(msg)} out of range for 2 nodes$"
+    with pytest.raises(DomainError, match=want):
+        Graph(2, ((0, 1, 1.0), (s, d, 1.0)))
+    with pytest.raises(DomainError, match=want):
+        interval_adjacency(2, [(0, 1, 1.0, 2.0), (s, d, 1.0, 2.0)])
+
+
+def test_graph_keeps_its_edges_as_arrays():
+    g = Graph(3, [(0, 1, 2.5), (2.0, 0, -1)])
+    assert g.edges == ((0, 1, 2.5), (2, 0, -1.0))
+    assert all(type(v) is t for e in g.edges for v, t in zip(e, (int, int, float)))
+    assert g.src.dtype == g.dst.dtype == np.int64 and g.w.dtype == np.float64
+    assert not g.w.flags.writeable
+    assert g == Graph(3, g.edges) and hash(g) == hash(Graph(3, g.edges))
+    assert Graph(1).edges == ()
+    with pytest.raises(DomainError, match="finite"):
+        Graph(2, ((0, 1, INF),))
 
 
 def test_jacobi_worked_example():
