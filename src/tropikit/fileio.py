@@ -7,6 +7,7 @@ Writers always end with a newline and use LF regardless of platform.
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -31,13 +32,27 @@ def _float_lines(a: np.ndarray, sep: str) -> list:
     return [line % tuple(row.tolist()) for row in a]
 
 
-def _token_fault(tok: str, dtype) -> str | None:
-    """Why np.loadtxt reads tok as no value of dtype (int64 or float), or None."""
+def _number(tok: str, kind):
+    """kind(tok), kind int or float, in np.loadtxt's grammar for int64 or
+    float, or None: int() or float() of an ASCII token with no '_'
+    separator, and an int in the range of int64."""
+    if not tok.isascii() or "_" in tok:
+        return None
     try:
-        x = np.loadtxt([tok], dtype=dtype, comments=None)
+        x = kind(tok)
     except ValueError:
-        return f"bad integer {tok!r}" if dtype is np.int64 else f"not a number: {tok!r}"
-    return "NaN is not a carrier value" if np.isnan(x) else None
+        return None
+    return x if kind is float or -(2**63) <= x < 2**63 else None
+
+
+def _token_fault(tok: str, dtype) -> str | None:
+    """Why np.loadtxt reads tok as no value of dtype (np.int64 or float), or None."""
+    if dtype is np.int64:
+        return None if _number(tok, int) is not None else f"bad integer {tok!r}"
+    x = _number(tok, float)
+    if x is None:
+        return f"not a number: {tok!r}"
+    return "NaN is not a carrier value" if x != x else None
 
 
 def parse_float(tok: str) -> float:
@@ -97,10 +112,14 @@ def _read(lns, lines, dtype, line_fault, rows_ok) -> np.ndarray:
     file line.  numpy's message is not used: it counts rows, not file lines.
     """
     try:
-        arr = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1 if dtype.names else 2)
+        with warnings.catch_warnings():
+            # numpy releases with the int-via-float fallback read an int64
+            # field '1.5' as 1 and only warn; that is a rejection here
+            warnings.simplefilter("error", DeprecationWarning)
+            arr = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1 if dtype.names else 2)
         if rows_ok(arr):
             return arr
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         pass
     for ln, line in zip(lns, lines):
         fault = line_fault(line)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -287,6 +288,8 @@ class Graph:
 
     Built from (src, dst, weight) triples or a record array of three fields,
     and held as three read-only arrays: src, dst (int64) and w (float64).
+    Immutable, like a frozen dataclass: setting an attribute raises
+    FrozenInstanceError.
     """
 
     __slots__ = ("n", "src", "dst", "w")
@@ -301,7 +304,14 @@ class Graph:
             raise DomainError(f"edge weight must be finite, got {float(w[~np.isfinite(w)][0])!r}")
         for a in (src, dst, w):
             a.setflags(write=False)
-        self.n, self.src, self.dst, self.w = n, src, dst, w
+        for name, value in zip(self.__slots__, (n, src, dst, w)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def edges(self) -> tuple:

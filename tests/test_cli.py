@@ -133,6 +133,15 @@ def test_usage_errors_exit_2():
     assert run_cli(["amoeba", "--h", "0"]).returncode == 2
 
 
+def test_fractional_node_id_exits_2_in_a_plain_run(tmp_path):
+    # a fresh interpreter, with Python's default warning filters
+    path = tmp_path / "g.txt"
+    path.write_text("n 3\n0 1 1\n0 1.7 2\n")
+    r = run_cli(["sp", "--graph", str(path)])
+    assert r.returncode == 2
+    assert r.stderr == b"ERROR FileFormatError: line 3: bad integer '1.7'\n"
+
+
 _F = "start 0 step 1 convention maxplus\n"
 MALFORMED = [
     (["sp", "--graph"], "n 3\n# c\n\n0 1 nan\n", "line 4: NaN is not a carrier value"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from tropikit import (
 )
 from tropikit.fileio import (
     _float_rows,
+    _token_fault,
     fmt_float,
     fmt_frac,
     format_curve,
@@ -460,6 +462,66 @@ def test_empty_numeric_files_are_rejected_without_a_warning():
         parse_function("start 0 step 1 convention maxplus\n# none\n")
     with pytest.raises(FileFormatError, match="header"):
         parse_graph("\n# nothing\n")
+
+
+_NOT_INTEGERS = [
+    (parse_graph, "n 2\n0 1.5 1\n", "line 2: bad integer '1.5'"),
+    (parse_graph, "n 2\n0 -0.5 1\n", "line 2: bad integer '-0.5'"),
+    (parse_graph, "n 2000\n1e3 0 1\n", "line 2: bad integer '1e3'"),
+    (parse_graph, "n 2\n0 99999999999999999999 1\n", "line 2: bad integer '99999999999999999999'"),
+    (parse_graph, "n 3.5\n", "line 1: bad count '3.5'"),
+    (parse_interval_graph, "n 2\n# c\n0 1.5 1 2\n", "line 3: bad integer '1.5'"),
+]
+
+
+@pytest.mark.parametrize("parse,text,want", _NOT_INTEGERS)
+def test_non_integer_ids_and_counts_are_rejected_with_warnings_ignored(parse, text, want):
+    # the filters of a plain run, where a DeprecationWarning is not an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(FileFormatError) as got:
+            parse(text)
+    assert str(got.value) == want
+
+
+def test_an_int_via_float_warning_is_a_rejection(monkeypatch):
+    # numpy releases with the int-via-float fallback return '1.5' as the
+    # int 1 and only warn; the reader must reject the line all the same
+    loadtxt = np.loadtxt
+
+    def truncating_loadtxt(lines, dtype, **kw):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return loadtxt([line.replace("1.5", "1") for line in lines], dtype=dtype, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(FileFormatError, match=r"^line 2: bad integer '1\.5'$"):
+            parse_graph("n 2\n0 1.5 1\n")
+
+
+_TRICKY_TOKENS = [
+    "+2", "-0", "007", "+-2", "0x10", "1e3", "1.0", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775808", "-9223372036854775809", "inf", "-inf", "+inf", "Infinity", "INF",
+    "nan", "-nan", "nan(1)", ".5", "5.", "1e", "1e400", "4.9e-324", "1e-400", "1_0", "1.5j",
+    "1d5", "0x1p3", "\u0661", "\uff11",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tok=st.sampled_from(_TRICKY_TOKENS) | st.text("0123456789+-.eEinfatyx_", min_size=1, max_size=6))
+def test_token_check_is_numpys_grammar(tok):
+    # the per-token check of the error path accepts exactly what the bulk
+    # np.loadtxt call accepts, and reads NaN where numpy does
+    for dtype in (np.int64, float):
+        try:
+            x = np.loadtxt([tok], dtype=dtype, comments=None)
+        except ValueError:
+            want = "bad integer" if dtype is np.int64 else "not a number"
+        else:
+            want = "NaN" if np.isnan(x) else None
+        fault = _token_fault(tok, dtype)
+        assert fault == want if want is None else fault.startswith(want)
 
 
 def test_out_of_range_ids_are_a_domain_error_after_parsing():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from re import escape as re_escape
 import tracemalloc
 import warnings
@@ -337,6 +338,18 @@ def test_graph_keeps_its_edges_as_arrays():
     assert Graph(1).edges == ()
     with pytest.raises(DomainError, match="finite"):
         Graph(2, ((0, 1, INF),))
+
+
+def test_graph_is_immutable():
+    g = Graph(2, ((0, 1, 1.0),))
+    for name, value in (("n", 0), ("src", np.zeros(1, np.int64)), ("edges", ())):
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, name, value)
+    with pytest.raises(FrozenInstanceError):
+        del g.n
+    with pytest.raises(ValueError):
+        g.src[0] = 1
+    assert g == Graph(2, ((0, 1, 1.0),)) and g.n == 2
 
 
 def test_jacobi_worked_example():
