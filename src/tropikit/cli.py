@@ -160,7 +160,7 @@ def _run_interval_bellman(args) -> str:
 
 def _run_newton(args) -> str:
     n, terms = fileio.parse_poly(fileio.read_text(args.poly))
-    f = GenPolynomial(n, tuple((float(c), d) for c, d in terms))
+    f = GenPolynomial(n, tuple(terms))
     P = newton_set(f)
     verts = "; ".join(" ".join(fileio.fmt_frac(c) for c in v) for v in P.vertices)
     return verts + "\n"

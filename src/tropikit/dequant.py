@@ -11,8 +11,9 @@ fhat(x) = max_i (d_i, x), uniformly at speed h.  The exponent geometry that
 survives the limit is carried by convex sets: Newton sets multiply by
 Minkowski sum and add by convex hull of the union, corner loci of max-plus
 polynomials are tropical curves, and log-images of complex varieties shrink
-onto them as h -> 0.  All polytope and curve arithmetic here is exact over
-the rationals.
+onto them as h -> 0.  Polytopes and curves are exact over the rationals:
+the planar hull and the corner locus run on integers scaled once by the lcm
+of the denominators, and convert back to exact Fractions at the output.
 """
 
 from __future__ import annotations
@@ -38,12 +39,20 @@ from .semiring import NEG_INF, POS_INF, _positive_finite
 
 def _frac_vec(v, n: Optional[int] = None) -> Tuple[Fraction, ...]:
     try:
-        t = tuple(Fraction(c) for c in v)
-    except (TypeError, ValueError) as e:
+        t = tuple(c if type(c) is Fraction else Fraction(c) for c in v)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as e:
         raise DomainError(f"cannot read {v!r} as a rational vector: {e}") from None
     if n is not None and len(t) != n:
         raise DimensionMismatch(f"expected a {n}-vector, got {len(t)} components")
     return t
+
+
+def _scaled(points, n: int):
+    """(L, ints): L the lcm of the denominators of the rational n-vectors
+    points, ints those vectors times L as tuples of Python ints."""
+    pts = [_frac_vec(p, n) for p in points]
+    L = math.lcm(*(c.denominator for p in pts for c in p))
+    return L, [tuple(c.numerator * (L // c.denominator) for c in p) for p in pts]
 
 
 def _dot_float(d: Tuple[Fraction, ...], x: Sequence[float]) -> float:
@@ -71,7 +80,10 @@ class GenPolynomial:
         seen = set()
         norm = []
         for c, d in self.terms:
-            c = float(c)
+            try:
+                c = float(c)
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError(f"cannot read coefficient {c!r} as a real") from None
             if c == 0.0 or not math.isfinite(c):
                 raise DomainError(f"coefficients must be nonzero finite reals, got {c!r}")
             dv = _frac_vec(d, self.n)
@@ -173,29 +185,26 @@ def dequantize_limit(f: GenPolynomial, x: Sequence[float]) -> float:
 # --- polytopes over the rationals -------------------------------------------
 
 
-def _cross(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _hull_2d(points):
-    # Andrew's monotone chain; strict turns only, so no collinear interior
-    # vertices survive.  Output is counterclockwise from the lexicographic
-    # minimum.  Degenerate inputs give a point or a segment.
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return hull if hull else [pts[0]]
+    # Andrew's monotone chain on integers; strict turns only, so no collinear
+    # interior vertices survive.  Output is counterclockwise from the
+    # lexicographic minimum.  Degenerate inputs give a point or a segment.
+    L, ipts = _scaled(points, 2)
+    pts = sorted(set(ipts))
+    if len(pts) > 2:
+        chains = []
+        for seq in (pts, pts[::-1]):
+            chain = []
+            for p in seq:
+                while len(chain) >= 2:
+                    (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                    if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                        break
+                    chain.pop()
+                chain.append(p)
+            chains.append(chain[:-1])
+        pts = chains[0] + chains[1]
+    return [(Fraction(x, L), Fraction(y, L)) for x, y in pts]
 
 
 def _hull_1d(points):
@@ -224,8 +233,9 @@ def _support_directions(n: int):
 class Polytope:
     """Convex hull of finitely many rational points.
 
-    Dimensions 1 and 2 are reduced to canonical vertex lists (sorted
-    endpoints; counterclockwise from the lexicographic minimum).  Higher
+    Dimensions 1 and 2 are reduced to canonical vertex lists of exact
+    Fractions (sorted endpoints; counterclockwise from the lexicographic
+    minimum, found on the points scaled once to integers).  Higher
     dimensions keep the deduplicated generating points with reduced=False;
     equality then compares exact support-function values on a fixed bundle
     of 64 integer directions, a randomized but arithmetic-exact certificate.
@@ -238,15 +248,14 @@ class Polytope:
     def __post_init__(self):
         if self.n < 1:
             raise DimensionMismatch("need at least one dimension")
-        pts = [_frac_vec(p, self.n) for p in self.vertices]
+        pts = list(self.vertices)
         if not pts:
             raise DomainError("polytope needs at least one point")
-        if self.n == 1:
-            verts, red = _hull_1d(pts), True
-        elif self.n == 2:
+        if self.n == 2:
             verts, red = _hull_2d(pts), True
         else:
-            verts, red = sorted(set(pts)), False
+            pts = [_frac_vec(p, self.n) for p in pts]
+            verts, red = (_hull_1d(pts), True) if self.n == 1 else (sorted(set(pts)), False)
         object.__setattr__(self, "vertices", tuple(verts))
         object.__setattr__(self, "reduced", red)
 
@@ -353,14 +362,6 @@ class TropicalCurve:
     pieces: tuple
 
 
-def _primitive(v):
-    # v (rational 2-vector) = scale * prim with prim primitive integer, scale > 0
-    lcm = v[0].denominator * v[1].denominator // math.gcd(v[0].denominator, v[1].denominator)
-    ix, iy = int(v[0] * lcm), int(v[1] * lcm)
-    g = math.gcd(abs(ix), abs(iy))
-    return (ix // g, iy // g), Fraction(g, lcm)
-
-
 def tropical_curve_2d(terms) -> TropicalCurve:
     """Corner locus of p(x) = max_i ((d_i, x) + c_i), exact over the rationals.
 
@@ -370,70 +371,71 @@ def tropical_curve_2d(terms) -> TropicalCurve:
     are first combined by the larger constant (reported as DegenerateInput).
     Degenerate single-point intersections are dropped: whenever the locus is
     nonempty it is a union of the 1-D pieces, which cover those vertices.
+
+    The scan runs on Python ints: with the exponents scaled by M and the
+    constants by L (the lcms of their denominators), the corner locus of
+    max_i ((D_i, y) + C_i) maps onto that of p by x = (M/L) y.  Parameter
+    bounds are integer pairs; only the pieces kept become Fractions.
     """
     terms = list(terms)
     if len(terms) < 2:
         raise DomainError("a tropical curve needs at least two terms")
+    M, exps = _scaled([d for _, d in terms], 2)
+    L, consts = _scaled([(c,) for c, _ in terms], 1)
     combined: dict = {}
-    repeated = False
-    for c, d in terms:
-        cv = Fraction(c)
-        dv = _frac_vec(d, 2)
-        if dv in combined:
-            repeated = True
-            combined[dv] = max(combined[dv], cv)
-        else:
-            combined[dv] = cv
-    if repeated:
+    for d, (c,) in zip(exps, consts):
+        combined[d] = max(combined.get(d, c), c)
+    if len(combined) < len(terms):
         warnings.warn(
             "repeated exponent vectors combined by their larger constant",
             DegenerateInput,
             stacklevel=2,
         )
-    tlist = sorted(combined.items())  # (d, c), deterministic order
+    tlist = sorted(combined.items())  # (D, C), deterministic order
     pieces = []
-    for a in range(len(tlist)):
+    for a, ((ix, iy), ci) in enumerate(tlist):
         for b in range(a + 1, len(tlist)):
-            (di, ci), (dj, cj) = tlist[a], tlist[b]
-            delta = (di[0] - dj[0], di[1] - dj[1])
-            e = cj - ci
-            den = delta[0] * delta[0] + delta[1] * delta[1]
-            x0 = (e * delta[0] / den, e * delta[1] / den)
-            v = (-delta[1], delta[0])
-            tlo, thi = NEG_INF, POS_INF
+            (jx, jy), cj = tlist[b]
+            dx, dy, e = ix - jx, iy - jy, cj - ci
+            den = dx * dx + dy * dy
+            # the tie line is y(s) = (e (dx, dy) + s (-dy, dx)) / den; term k
+            # stays below it where A + beta s >= 0.  Bounds on s are (p, q > 0).
+            lo = hi = None
             empty = False
-            for dk, ck in tlist:
-                if dk == di or dk == dj:
+            for k, ((kx, ky), ck) in enumerate(tlist):
+                if k == a or k == b:
                     continue
-                # value_i(x0 + t v) - value_k(x0 + t v) = alpha + beta t >= 0
-                alpha = (di[0] - dk[0]) * x0[0] + (di[1] - dk[1]) * x0[1] + ci - ck
-                beta = (di[0] - dk[0]) * v[0] + (di[1] - dk[1]) * v[1]
+                wx, wy = ix - kx, iy - ky
+                A = e * (wx * dx + wy * dy) + (ci - ck) * den
+                beta = wy * dx - wx * dy
                 if beta == 0:
-                    if alpha < 0:
+                    if A < 0:
                         empty = True
                         break
                 elif beta > 0:
-                    bound = -alpha / beta
-                    if tlo == NEG_INF or bound > tlo:
-                        tlo = bound
-                else:
-                    bound = -alpha / beta
-                    if thi == POS_INF or bound < thi:
-                        thi = bound
-            if empty or (tlo != NEG_INF and thi != POS_INF and tlo >= thi):
+                    if lo is None or -A * lo[1] > lo[0] * beta:
+                        lo = (-A, beta)
+                elif hi is None or A * hi[1] < hi[0] * -beta:
+                    hi = (A, -beta)
+            if empty or (lo and hi and lo[0] * hi[1] >= hi[0] * lo[1]):
                 continue
-            prim, scale = _primitive(v)
-            if tlo == NEG_INF and thi == POS_INF:
+            g = math.gcd(dx, dy)
+            prim = (-dy // g, dx // g)
+            t0, t1 = Fraction(0), POS_INF
+            if lo is None and hi is None:
                 if prim[0] < 0 or (prim[0] == 0 and prim[1] < 0):
                     prim = (-prim[0], -prim[1])
-                pieces.append(CurvePiece(x0, prim, NEG_INF, POS_INF))
-            elif tlo == NEG_INF:
-                base = (x0[0] + thi * v[0], x0[1] + thi * v[1])
-                pieces.append(CurvePiece(base, (-prim[0], -prim[1]), Fraction(0), POS_INF))
+                (p, q), t0 = (0, 1), NEG_INF
+            elif lo is None:
+                (p, q), prim = hi, (-prim[0], -prim[1])
             else:
-                base = (x0[0] + tlo * v[0], x0[1] + tlo * v[1])
-                t1 = (thi - tlo) * scale if thi != POS_INF else POS_INF
-                pieces.append(CurvePiece(base, prim, Fraction(0), t1))
+                p, q = lo
+                if hi is not None:
+                    t1 = Fraction(M * g * (hi[0] * q - p * hi[1]), L * den * hi[1] * q)
+            scale = L * den * q
+            base = (Fraction(M * (e * dx * q - p * dy), scale),
+                    Fraction(M * (e * dy * q + p * dx), scale))
+            pieces.append(CurvePiece(base, prim, t0, t1))
     pieces.sort(key=lambda p: (p.base, p.direction, p.t0 == NEG_INF, p.t1))
     return TropicalCurve(tuple(pieces))
 

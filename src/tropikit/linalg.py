@@ -15,7 +15,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 
-from .errors import DomainError, NegativeCycle, NonConvergent, ShapeMismatch
+from .errors import DomainError, NegativeCycle, NonConvergent, OutOfMemory, ShapeMismatch
 from .semiring import MINPLUS, SemiringSpec, _require_idempotent, _same_spec
 
 # Float64 elements per pairwise temporary in matrix_mul: 256 KiB, which stays
@@ -335,15 +335,19 @@ def _accumulate(n: int, src, dst, w, spec: SemiringSpec) -> np.ndarray:
 
     One spec.add call per occurrence rank: the r-th edge of every arc at
     once, so each entry is the left fold over its edges in edge order, as
-    one edge at a time would give.
+    one edge at a time would give.  An n x n matrix that numpy cannot index
+    is OutOfMemory.
     """
+    try:
+        out = np.full(n * n, spec.zero)
+    except ValueError:
+        raise OutOfMemory(f"a {n} x {n} matrix is too large to allocate") from None
     key = src * n + dst
     order = np.argsort(key, kind="stable")  # by arc, in edge order within one
     k = key[order]
     at = np.arange(len(k))
     rank = at - np.maximum.accumulate(np.where(np.diff(k, prepend=-1) != 0, at, 0))
     order = order[np.argsort(rank, kind="stable")]  # by rank, then by arc
-    out = np.full(n * n, spec.zero)
     lo = 0
     for count in np.bincount(rank).tolist():
         e = order[lo:lo + count]

@@ -7,16 +7,20 @@ brute-force envelopes.
 
 import heapq
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 
 from tropikit import (
+    CurvePiece,
+    DegenerateInput,
     DomainError,
     IntervalMatrix,
     IntervalValue,
     NonConvergent,
     SemiringMatrix,
+    TropicalCurve,
     interval_add,
 )
 
@@ -285,6 +289,104 @@ def is_canonical_polytope_2d(verts):
     if verts[0] != min(verts):
         return False
     return strictly_convex_ccw(verts)
+
+
+def fraction_hull_2d(points):
+    """Andrew's monotone chain on Fraction points, as the library computed
+    it before it moved to scaled integers: counterclockwise from the
+    lexicographic minimum, strict turns only."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    return hull if hull else [pts[0]]
+
+
+def _primitive(v):
+    # v (rational 2-vector) = scale * prim with prim primitive integer, scale > 0
+    lcm = v[0].denominator * v[1].denominator // math.gcd(v[0].denominator, v[1].denominator)
+    ix, iy = int(v[0] * lcm), int(v[1] * lcm)
+    g = math.gcd(abs(ix), abs(iy))
+    return (ix // g, iy // g), Fraction(g, lcm)
+
+
+def fraction_tropical_curve_2d(terms):
+    """Corner locus of max_i ((d_i, x) + c_i) by the pair-times-term scan on
+    Fractions, as the library computed it before it moved to scaled
+    integers; inputs must be valid (two or more terms, 2-vector exponents)."""
+    terms = list(terms)
+    combined: dict = {}
+    repeated = False
+    for c, d in terms:
+        cv = Fraction(c)
+        dv = tuple(Fraction(e) for e in d)
+        if dv in combined:
+            repeated = True
+            combined[dv] = max(combined[dv], cv)
+        else:
+            combined[dv] = cv
+    if repeated:
+        warnings.warn(
+            "repeated exponent vectors combined by their larger constant",
+            DegenerateInput,
+            stacklevel=2,
+        )
+    tlist = sorted(combined.items())  # (d, c), deterministic order
+    pieces = []
+    for a in range(len(tlist)):
+        for b in range(a + 1, len(tlist)):
+            (di, ci), (dj, cj) = tlist[a], tlist[b]
+            delta = (di[0] - dj[0], di[1] - dj[1])
+            e = cj - ci
+            den = delta[0] * delta[0] + delta[1] * delta[1]
+            x0 = (e * delta[0] / den, e * delta[1] / den)
+            v = (-delta[1], delta[0])
+            tlo, thi = -INF, INF
+            empty = False
+            for dk, ck in tlist:
+                if dk == di or dk == dj:
+                    continue
+                # value_i(x0 + t v) - value_k(x0 + t v) = alpha + beta t >= 0
+                alpha = (di[0] - dk[0]) * x0[0] + (di[1] - dk[1]) * x0[1] + ci - ck
+                beta = (di[0] - dk[0]) * v[0] + (di[1] - dk[1]) * v[1]
+                if beta == 0:
+                    if alpha < 0:
+                        empty = True
+                        break
+                elif beta > 0:
+                    bound = -alpha / beta
+                    if tlo == -INF or bound > tlo:
+                        tlo = bound
+                else:
+                    bound = -alpha / beta
+                    if thi == INF or bound < thi:
+                        thi = bound
+            if empty or (tlo != -INF and thi != INF and tlo >= thi):
+                continue
+            prim, scale = _primitive(v)
+            if tlo == -INF and thi == INF:
+                if prim[0] < 0 or (prim[0] == 0 and prim[1] < 0):
+                    prim = (-prim[0], -prim[1])
+                pieces.append(CurvePiece(x0, prim, -INF, INF))
+            elif tlo == -INF:
+                base = (x0[0] + thi * v[0], x0[1] + thi * v[1])
+                pieces.append(CurvePiece(base, (-prim[0], -prim[1]), Fraction(0), INF))
+            else:
+                base = (x0[0] + tlo * v[0], x0[1] + tlo * v[1])
+                t1 = (thi - tlo) * scale if thi != INF else INF
+                pieces.append(CurvePiece(base, prim, Fraction(0), t1))
+    pieces.sort(key=lambda p: (p.base, p.direction, p.t0 == -INF, p.t1))
+    return TropicalCurve(tuple(pieces))
 
 
 def segment_1d(points):

@@ -163,3 +163,31 @@ def test_malformed_numeric_file_is_one_error_line_naming_the_file_line(argv, tex
     assert out == ""
     assert err.startswith("ERROR FileFormatError: " + want)
     assert err.count("\n") == 1
+
+
+OVERSIZED = [(["sp", "--graph"], "n 4294967296\n0 1 1.0\n"),
+             (["interval-bellman", "--target", "0", "--graph"], "n 4294967296\n0 1 1.0 2.0\n")]
+
+
+@pytest.mark.parametrize("argv,text", OVERSIZED, ids=[c[0][0] for c in OVERSIZED])
+def test_oversized_graph_header_is_one_error_line(argv, text, tmp_path, capsys):
+    # n * n exceeds numpy's largest array dimension, so nothing is allocated
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert cli.main([*argv, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "ERROR OutOfMemory: a 4294967296 x 4294967296 matrix is too large to allocate\n"
+    r = run_cli([*argv, str(path)])
+    assert r.returncode == 1
+    assert (r.stdout, r.stderr) == (b"", err.encode())
+
+
+def test_newton_coefficient_beyond_float_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    path.write_text("n 1\n1e400 1\n1 0\n")
+    assert cli.main(["newton", "--poly", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ERROR DomainError: cannot read coefficient")
+    assert err.count("\n") == 1

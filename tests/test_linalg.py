@@ -29,6 +29,7 @@ from tropikit import (
     NegativeCycle,
     NonConvergent,
     NotIdempotent,
+    OutOfMemory,
     SemiringMatrix,
     SemiringSpec,
     ShapeMismatch,
@@ -326,6 +327,15 @@ def test_graph_and_interval_adjacency_share_the_node_id_check(s, d, msg):
         Graph(2, ((0, 1, 1.0), (s, d, 1.0)))
     with pytest.raises(DomainError, match=want):
         interval_adjacency(2, [(0, 1, 1.0, 2.0), (s, d, 1.0, 2.0)])
+
+
+def test_matrix_numpy_cannot_index_is_out_of_memory():
+    # n * n exceeds numpy's largest array dimension, so nothing is allocated
+    n = 4294967296
+    with pytest.raises(OutOfMemory, match=f"^a {n} x {n} matrix is too large to allocate$"):
+        adjacency_matrix(Graph(n, ((0, 1, 1.0),)))
+    with pytest.raises(OutOfMemory):
+        interval_adjacency(n, [(0, 1, 1.0, 2.0)])
 
 
 def test_graph_keeps_its_edges_as_arrays():
