@@ -10,13 +10,12 @@ shift by) already-computed floats, so fixpoint detection is exact equality.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 
 from .errors import DomainError, NegativeCycle, NonConvergent, OutOfMemory, ShapeMismatch
-from .semiring import MINPLUS, SemiringSpec, _require_idempotent, _same_spec
+from .semiring import MINPLUS, SemiringSpec, _no_overflow, _require_idempotent, _same_spec
 
 # Float64 elements per pairwise temporary in matrix_mul: 256 KiB, which stays
 # in L2 whatever the size of the problem.
@@ -30,7 +29,7 @@ class SemiringMatrix:
     there, so equality of matrices is plain bitwise comparison.
     """
 
-    __slots__ = ("spec", "data", "_largest")
+    __slots__ = ("spec", "data")
 
     def __init__(self, data, spec: SemiringSpec):
         arr = np.array(data, dtype=float, order="C")
@@ -88,49 +87,22 @@ def matrix_add(A: SemiringMatrix, B: SemiringMatrix) -> SemiringMatrix:
     return SemiringMatrix(spec.add(A.data, B.data), spec)
 
 
-@contextmanager
-def _overflow_is_domain_error(what: str):
-    """No float warnings; a failed carrier check inside names the overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            yield
-        except DomainError:
-            raise DomainError(f"{what}: a path weight overflows float64") from None
-
-
-def _largest_finite(M: SemiringMatrix) -> float:
-    """The largest magnitude of a finite entry of M (0.0 if none), cached:
-    M is immutable."""
-    try:
-        return M._largest
-    except AttributeError:
-        M._largest = float(np.abs(M.data[np.isfinite(M.data)]).max(initial=0.0))
-        return M._largest
-
-
 def matrix_mul(A: SemiringMatrix, B: SemiringMatrix) -> SemiringMatrix:
     """Matrix product with (+) as sum and (x) as product, in blocks of rows
     whose pairwise temporary fits _BLOCK elements (one row at least), each
     output row reduced whole.  DomainError if a product of finite entries
-    overflows, or an overflow leaves the carrier."""
+    overflows float64, in any pair, winning or not."""
     spec = _same_spec(A, B)
     if A.cols != B.rows:
         raise ShapeMismatch(f"cannot multiply shapes {A.shape} and {B.shape}")
     a, b = A.data, B.data
     out = np.empty((A.rows, B.cols))
     rows = max(1, _BLOCK // max(1, b.size))
-    with _overflow_is_domain_error("matrix_mul"):
-        # rounding is monotone, so no product of finite entries overflows
-        # when the product of the largest finite magnitudes does not (for
-        # a (x) that is +, *, min or max); only then is each block checked
-        risky = not np.isfinite(spec.mul(_largest_finite(A), _largest_finite(B)))
+    with _no_overflow("matrix_mul: a path weight"):
         for lo in range(0, A.rows, rows):
             s = slice(lo, lo + rows)
-            p = spec.mul(a[s, :, None], b[None, :, :])
-            if risky and np.any(np.isinf(p) & np.isfinite(a[s, :, None]) & np.isfinite(b)):
-                raise DomainError("a finite product overflows")
-            out[s] = spec.add_reduce(p, axis=1)
-        return SemiringMatrix(out, spec)
+            out[s] = spec.add_reduce(spec.mul(a[s, :, None], b[None, :, :]), axis=1)
+    return SemiringMatrix(out, spec)
 
 
 def kleene_star(A: SemiringMatrix) -> SemiringMatrix:
@@ -145,8 +117,9 @@ def kleene_star(A: SemiringMatrix) -> SemiringMatrix:
     pivot that fails raises NonConvergent.  A custom spec is held to the
     same contract, using only its ``add`` and ``mul``.
 
-    Path weights that leave the finite float64 range raise DomainError; a
-    cycle whose weight overflows past every float is a divergent one.
+    A product of finite weights that overflows float64 raises DomainError,
+    except on the diagonal: an entry there is a cycle, and a cycle whose
+    weight overflows is a divergent one, which the pivot checks judge.
     """
     _require_idempotent(A.spec, "kleene_star")
     if A.rows != A.cols:
@@ -154,18 +127,26 @@ def kleene_star(A: SemiringMatrix) -> SemiringMatrix:
     spec, one = A.spec, A.spec.one
     S = A.data.copy()
     np.fill_diagonal(S, spec.add(np.diag(S), one))
-    with _overflow_is_domain_error("kleene_star"):
+    with _no_overflow("kleene_star: a path weight"):
         for k in range(A.rows):
             d = S[k, k]
             if spec.add(d, one) != one:
-                if np.isnan(d):  # inf - inf after an overflow: no cycle to blame
-                    break
                 raise NonConvergent(
                     f"the star diverges: a cycle through node {k} has weight "
                     f"{float(d)!r}, better than one ({one!r})"
                 )
-            S = spec.add(S, spec.mul(S[:, k, None], S[None, k, :]))
-        return SemiringMatrix(S, spec)
+            try:
+                S = spec.add(S, spec.mul(S[:, k, None], S[None, k, :]))
+            except FloatingPointError:
+                col, row = S[:, k, None], S[None, k, :]
+                with np.errstate(over="ignore"):
+                    P = spec.mul(col, row)
+                over = np.isinf(P) & np.isfinite(col) & np.isfinite(row)
+                np.fill_diagonal(over, False)
+                if over.any():
+                    raise
+                S = spec.add(S, P)
+    return SemiringMatrix(S, spec)
 
 
 def _negative_cycle(W: np.ndarray) -> tuple:
@@ -238,13 +219,13 @@ def solve_bellman_gauss_seidel(H, F, max_iter=None, full_output=False):
     Rows are updated in ascending index order within each sweep, every update
     seeing the freshest values; a sweep that changes nothing ends the solve.
     info["iterations"] counts sweeps including that final verification sweep.
-    DomainError if a path weight overflows float64."""
+    DomainError if a product of finite entries overflows float64."""
     _require_idempotent(H.spec, "solve_bellman_gauss_seidel")
     n = _check_system(H, F)
     spec = H.spec
     budget = n + 1 if max_iter is None else int(max_iter)
     X = F.data.copy()
-    with _overflow_is_domain_error("solve_bellman_gauss_seidel"):
+    with _no_overflow("solve_bellman_gauss_seidel: a path weight"):
         for sweep in range(1, budget + 1):
             changed = False
             for i in range(n):
@@ -256,7 +237,6 @@ def solve_bellman_gauss_seidel(H, F, max_iter=None, full_output=False):
             if not changed:
                 out = SemiringMatrix(X, spec)
                 return (out, {"iterations": sweep}) if full_output else out
-        SemiringMatrix(X, spec)  # an overflow leaves X outside the carrier for good
     raise NonConvergent(f"no fixpoint after {budget} sweeps")
 
 

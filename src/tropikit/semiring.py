@@ -19,6 +19,7 @@ plain float64; -0.0 is normalized to +0.0 so equality can be bitwise.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -48,8 +49,9 @@ def deformed_add(u, v, h):
     va = np.asarray(v, dtype=float)
     hi = np.maximum(ua, va)
     lo = np.minimum(ua, va)
-    with np.errstate(invalid="ignore"):
-        out = np.where(np.isneginf(lo), hi, hi + h * np.log1p(np.exp((lo - hi) / h)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is -inf, and exp(-inf) is 0
+        t = (lo - hi) / h
+    out = np.where(np.isneginf(lo), hi, hi + h * np.log1p(np.exp(t)))
     if np.ndim(u) == 0 and np.ndim(v) == 0:
         return float(out) + 0.0
     return out + 0.0
@@ -60,9 +62,10 @@ def _lse_reduce(h: float) -> Callable:
     def reduce_(a, axis):
         a = np.asarray(a, dtype=float)
         hi = np.max(a, axis=axis, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            s = hi + h * np.log(np.sum(np.exp((a - hi) / h), axis=axis, keepdims=True))
-            out = np.where(np.isneginf(hi), hi, s)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in deformed_add
+            t = (a - hi) / h
+        s = hi + h * np.log(np.sum(np.exp(t), axis=axis, keepdims=True))
+        out = np.where(np.isneginf(hi), hi, s)
         return np.squeeze(out, axis=axis) + 0.0
 
     return reduce_
@@ -278,6 +281,22 @@ def _require_idempotent(spec: SemiringSpec, what: str) -> None:
         raise NotIdempotent(f"{what} needs an idempotent addition; {spec.name} has none")
 
 
+@contextmanager
+def _no_overflow(what: str):
+    """Run the block with numpy's overflow flag raised as
+    DomainError(f"{what} overflows float64").
+
+    IEEE 754 raises that flag exactly when a finite result rounds to +-inf,
+    never for an operand that is infinite already; where (+) only selects
+    and (x) only shifts, that is the one way a result leaves the carrier.
+    """
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            yield
+    except FloatingPointError:
+        raise DomainError(f"{what} overflows float64") from None
+
+
 # --- scalar operations with domain checking --------------------------------
 
 
@@ -304,6 +323,7 @@ def mul(a, b, spec: SemiringSpec) -> float:
         return spec.zero
     with np.errstate(over="ignore"):
         p = float(spec.mul(a, b)) + 0.0
+    # a custom spec may multiply these Python floats without numpy: no flag
     if math.isinf(p) and math.isfinite(a) and math.isfinite(b):
         raise DomainError(f"{a!r} (x) {b!r} overflows float64 in {spec.name}")
     return p

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatch
-from .semiring import MAXPLUS, MINPLUS, SemiringSpec, _positive_finite
+from .semiring import MAXPLUS, MINPLUS, SemiringSpec, _no_overflow, _positive_finite
 
 # The idempotent semiring each convention integrates in.
 _SPECS = {"maxplus": MAXPLUS, "minplus": MINPLUS}
@@ -102,6 +102,7 @@ def integral_wrt_measure(phi: SampledFunction, psi: SampledFunction) -> float:
     """Integral of phi against the density psi: extremum of phi + psi.
     DomainError if the winning phi(x) + psi(x) overflows float64."""
     spec = _same_grid(phi, psi)
+    # a losing pair may overflow harmlessly, so only the winner is judged
     with np.errstate(over="ignore"):
         out = float(spec.add_reduce(phi.values + psi.values, axis=0)) + 0.0
     # an infinite result is the zero only if no finite pair reaches it
@@ -122,10 +123,8 @@ def scalar_mul(c: float, phi: SampledFunction) -> SampledFunction:
     c = float(c)
     if not math.isfinite(c):
         raise DomainError(f"scalar must be finite, got {c!r}")
-    with np.errstate(over="ignore"):
+    with _no_overflow("scalar_mul: phi(x) + c"):
         values = phi.values + c
-    if np.any(np.isinf(values) & np.isfinite(phi.values)):
-        raise DomainError("scalar_mul: phi(x) + c overflows float64")
     return SampledFunction(phi.start, phi.step, values, phi.convention)
 
 
@@ -144,6 +143,7 @@ def convolution(phi: SampledFunction, psi: SampledFunction) -> SampledFunction:
     a, b = sorted((phi.values, psi.values), key=len)
     nb = b.size
     out = np.full(a.size + nb - 1, spec.zero)
+    # a losing pair may overflow harmlessly, so only the winners are judged
     with np.errstate(over="ignore"):
         for i in range(a.size):
             spec.add(out[i : i + nb], a[i] + b, out=out[i : i + nb])
@@ -268,10 +268,8 @@ def legendre(
     R = np.where(R == 0.0, np.sign(D) * 5e-324, R)
     zero = [0.0] * G.size
     w = _walk(hull, G.tolist(), zero, zero, R.tolist(), np.ldexp(xis, -e - 1).tolist())
-    with np.errstate(over="ignore"):
+    with _no_overflow("legendre: xi*x + phi(x)"):
         out = xis * xs[w] + phi.values[w]
-    if not np.all(np.isfinite(out)):
-        raise DomainError("legendre: xi*x + phi(x) overflows float64")
     return SampledFunction(xi_start, xi_step, out, "maxplus")
 
 
@@ -311,9 +309,7 @@ def hopf_lax_evolve(s0: SampledFunction, t: float, m: float = 1.0) -> SampledFun
     h = np.array(hull)
     A, B = Y[h[:-1]], Y[h[1:]]
     w = _walk(hull, (K * (B - A)).tolist(), A.tolist(), B.tolist(), (V[h[:-1]] - V[h[1:]]).tolist(), Y.tolist())
-    with np.errstate(over="ignore"):
+    with _no_overflow("hopf_lax_evolve: s0(y) + m*(x - y)^2/(2t)"):
         diff = ys - ys[w]
         out = a[w] + c * (diff * diff)
-    if not np.all(np.isfinite(out)):
-        raise DomainError("hopf_lax_evolve: s0(y) + m*(x - y)^2/(2t) overflows float64")
     return SampledFunction(y0, dy, out, "minplus")

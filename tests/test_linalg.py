@@ -261,18 +261,57 @@ def test_product_overflow_onto_the_zero_is_a_domain_error(spec, big):
     half = big / 2
     got = matrix_mul(SemiringMatrix([[half, -big]], spec), SemiringMatrix([[half], [big]], spec))
     assert got.data.tolist() == [[spec.add(2 * half, 0.0)]]
+    # the two-arc path of this chain overflows onto the zero: the star and
+    # Gauss-Seidel must see it as Jacobi does
+    z = spec.zero
+    H = SemiringMatrix([[z, big, z], [z, z, big], [z, z, z]], spec)
+    F = SemiringMatrix([[z], [z], [big]], spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (kleene_star, lambda H: solve_bellman_gauss_seidel(H, F),
+                      lambda H: solve_bellman_jacobi(H, F)):
+            with pytest.raises(DomainError, match="overflows float64"):
+                solve(H)
+        # a cycle whose weight overflows onto the zero adds nothing to the star
+        got = kleene_star(SemiringMatrix([[z, big], [big, z]], spec))
+        assert got.data.tolist() == [[0.0, big], [big, 0.0]]
 
 
-def test_product_overflow_check_runs_only_near_the_float_limit(monkeypatch):
+def test_product_overflow_check_scans_no_matrix(monkeypatch):
+    # numpy's overflow flag is the whole check: no pass over the entries or
+    # the blocks, not even where |1e308| + |-1e308| would overflow
     calls = []
-    real_isinf = np.isinf
-    monkeypatch.setattr(np, "isinf", lambda *a, **k: calls.append(1) or real_isinf(*a, **k))
+    for name in ("isinf", "isfinite"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
     A = SemiringMatrix([[1e300, INF], [-1e300, 0.0]], MINPLUS)
     matrix_mul(A, A)
-    assert calls == []
-    # |1e308| + |-1e308| overflows, so the blocks are checked; 1e308 - 1e308 does not
     got = matrix_mul(SemiringMatrix([[1e308]], MINPLUS), SemiringMatrix([[-1e308]], MINPLUS))
-    assert calls and got.data.tolist() == [[0.0]]
+    assert calls == [] and got.data.tolist() == [[0.0]]
+
+
+_LINALG_CELLS = st.sampled_from([1e308, -1e308, 1e307, -1e307]) | st.integers(-5, 5).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([BOOL, MAXPLUS, MINPLUS, MAXMIN]), st.integers(1, 6), st.data())
+def test_linalg_never_leaves_the_carrier_silently(spec, n, data):
+    cells = st.just(spec.zero) | (st.sampled_from([0.0, 1.0]) if spec is BOOL else _LINALG_CELLS)
+
+    def matrix(cols):
+        rows = st.lists(st.lists(cells, min_size=cols, max_size=cols), min_size=n, max_size=n)
+        return SemiringMatrix(data.draw(rows), spec)
+
+    H, F = matrix(n), matrix(data.draw(st.integers(1, 3)))
+    for solve in (matrix_mul, solve_bellman_jacobi, solve_bellman_gauss_seidel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                X = solve(H, F)
+            except TropikitError:
+                continue
+        assert not np.any(np.isnan(X.data))
+        assert np.all(spec.contains(X.data))
 
 
 def _accumulate_specs():

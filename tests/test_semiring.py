@@ -14,6 +14,7 @@ from tropikit import (
     NONNEG,
     DomainError,
     NotIdempotent,
+    SemiringMatrix,
     SemiringSpec,
     add,
     check_axioms,
@@ -21,6 +22,7 @@ from tropikit import (
     deformed_spec,
     get_semiring,
     leq,
+    matrix_mul,
     mul,
     register_semiring,
 )
@@ -92,6 +94,16 @@ def test_deformed_add_worked_values():
     assert deformed_add(10.0, -40.0, 0.01) == 10.0
     assert deformed_add(NEG_INF, 3.0, 1.0) == 3.0
     assert deformed_add(NEG_INF, NEG_INF, 1.0) == NEG_INF
+
+
+def test_deformed_reductions_are_silent_when_the_gap_overflows():
+    # (lo - hi)/h overflows to -inf, which is exact: exp(-inf) is 0
+    spec = get_semiring("deformed:1e-10")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = matrix_mul(SemiringMatrix([[0.0, -1e300]], spec), SemiringMatrix([[0.0], [0.0]], spec))
+        assert got.data.tolist() == [[0.0]]
+        assert deformed_add(0.0, -1e300, 1e-10) == 0.0
 
 
 def test_deformed_add_gap_bounds():
