@@ -95,14 +95,23 @@ def matrix_mul(A: SemiringMatrix, B: SemiringMatrix) -> SemiringMatrix:
     spec = _same_spec(A, B)
     if A.cols != B.rows:
         raise ShapeMismatch(f"cannot multiply shapes {A.shape} and {B.shape}")
-    a, b = A.data, B.data
+    b = B.data[None]
     out = np.empty((A.rows, B.cols))
-    rows = max(1, _BLOCK // max(1, b.size))
     with _no_overflow("matrix_mul: a path weight"):
-        for lo in range(0, A.rows, rows):
-            s = slice(lo, lo + rows)
-            out[s] = spec.add_reduce(spec.mul(a[s, :, None], b[None, :, :]), axis=1)
+        _row_products(spec, A.data, lambda s: b, out)
     return SemiringMatrix(out, spec)
+
+
+def _row_products(spec: SemiringSpec, a: np.ndarray, take, out: np.ndarray) -> np.ndarray:
+    """out[i] = (+) over j of a[i, j] (x) take(s)[., j], for blocks s of the
+    rows of a whose pairwise temporary fits _BLOCK elements (one row at
+    least); take(s) is the right operand of block s, of shape (rows of s or
+    1, a.shape[1], out.shape[1]).  Each output row is reduced whole."""
+    rows = max(1, _BLOCK // max(1, a.shape[1] * out.shape[1]))
+    for lo in range(0, a.shape[0], rows):
+        s = slice(lo, lo + rows)
+        out[s] = spec.add_reduce(spec.mul(a[s, :, None], take(s)), axis=1)
+    return out
 
 
 def kleene_star(A: SemiringMatrix) -> SemiringMatrix:
@@ -213,30 +222,91 @@ def solve_bellman_jacobi(H, F, max_iter=None, full_output=False):
     raise NonConvergent(f"no fixpoint after {budget} iterations")
 
 
+def _split_rows(H: SemiringMatrix) -> tuple:
+    """The entries of H that are not the zero, split into the strictly lower
+    part L and the rest U (diagonal included), each as a padded row layout
+    (weights, columns): row i holds its entries in column order, padded to
+    the widest row of its part (at least one) with the zero at column 0."""
+    spec, n = H.spec, H.rows
+    r, c = np.divmod(np.flatnonzero(H.data != spec.zero), n)  # row-major
+    parts = []
+    for keep in (c < r, c >= r):
+        ri, ci = r[keep], c[keep]
+        counts = np.bincount(ri, minlength=n)
+        pos = np.arange(ri.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        W = np.full((n, max(1, int(counts.max(initial=0)))), spec.zero)
+        C = np.zeros(W.shape, dtype=np.intp)
+        W[ri, pos] = H.data[ri, ci]
+        C[ri, pos] = ci
+        parts.append((W, C))
+    return tuple(parts)
+
+
+def _lower_solve(spec: SemiringSpec, W, C, Y, b, cap: int) -> np.ndarray:
+    """The one fixpoint of Y = L (x) Y (+) b, for L strictly lower, held as
+    the padded rows (W, C); Y is the start, and is overwritten.
+
+    Rounds Y <- L (x) Y (+) b until Y stops changing.  Once a round leaves
+    rows 0..m-1 unmoved, they stay so (row i reads only rows below i), and
+    later rounds recompute only rows m on.  A round that would take the
+    pairs formed past cap, or that raises numpy's overflow flag, is not
+    kept: the rows from m on are then finished one at a time, in ascending
+    order, each reading the rows already finished."""
+    n, k = b.shape
+    lo = formed = 0
+    while formed + (n - lo) * W.shape[1] * k <= cap:
+        Wl, Cl = W[lo:], C[lo:]
+        try:
+            Z = spec.add(_row_products(spec, Wl, lambda s: Y[Cl[s]], np.empty_like(b[lo:])), b[lo:])
+        except FloatingPointError:
+            break
+        formed += Z.shape[0] * W.shape[1] * k
+        moved = np.flatnonzero((Z != Y[lo:]).any(axis=1))
+        if moved.size == 0:
+            return Y
+        Y[lo:] = Z + 0.0
+        lo += int(moved[0])
+    for i in range(lo, n):
+        Y[i] = spec.add(spec.add_reduce(spec.mul(W[i, :, None], Y[C[i]]), axis=0), b[i]) + 0.0
+    return Y
+
+
 def solve_bellman_gauss_seidel(H, F, max_iter=None, full_output=False):
     """Least solution of X = H (x) X (+) F by in-place sweeps.
 
-    Rows are updated in ascending index order within each sweep, every update
-    seeing the freshest values; a sweep that changes nothing ends the solve.
-    info["iterations"] counts sweeps including that final verification sweep.
-    DomainError if a product of finite entries overflows float64."""
+    Sweep s is the Gauss-Seidel sweep that updates the rows in ascending
+    order, each seeing the freshest values, done as whole-array products
+    over the entries of H that are not the zero.  H is split once into its
+    strictly lower part L and the rest U, diagonal included.  The sweep
+    forms b = U (x) X (+) F from the previous X, then solves the triangular
+    system Y = L (x) Y (+) b by rounds (see _lower_solve).  L is strictly
+    lower, so that system has exactly one fixpoint, and row by row it is
+    the value the row loop gave; (+) is associative and commutative, so the
+    bits are the same too.  The rounds start from Y = X (+) b: the sweeps
+    only rise in the standard order, so that start lies between b and the
+    fixpoint and needs no more rounds than b.  A round that would form more
+    pairs than a row-by-row sweep (n * n * k), or that overflows, is
+    dropped and the sweep finished row by row.  The U product and that row
+    loop form exactly the pairs the row loop formed, and the rounds kept
+    raised nothing, so the errors are its errors as well.
+
+    A sweep that changes nothing ends the solve; info["iterations"] counts
+    sweeps including that final verification sweep.  DomainError if a
+    product of finite entries overflows float64."""
     _require_idempotent(H.spec, "solve_bellman_gauss_seidel")
     n = _check_system(H, F)
-    spec = H.spec
+    spec, f = H.spec, F.data
     budget = n + 1 if max_iter is None else int(max_iter)
-    X = F.data.copy()
+    (WL, CL), (WU, CU) = _split_rows(H)
+    X = f
     with _no_overflow("solve_bellman_gauss_seidel: a path weight"):
         for sweep in range(1, budget + 1):
-            changed = False
-            for i in range(n):
-                cand = spec.add(spec.add_reduce(spec.mul(H.data[i, :, None], X), axis=0), F.data[i])
-                cand = np.asarray(cand) + 0.0
-                if not np.array_equal(cand, X[i]):
-                    X[i] = cand
-                    changed = True
-            if not changed:
+            b = spec.add(_row_products(spec, WU, lambda s: X[CU[s]], np.empty_like(f)), f)
+            Y = _lower_solve(spec, WL, CL, spec.add(X, b), b, n * n * F.cols)
+            if np.array_equal(Y, X):
                 out = SemiringMatrix(X, spec)
                 return (out, {"iterations": sweep}) if full_output else out
+            X = Y
     raise NonConvergent(f"no fixpoint after {budget} sweeps")
 
 

@@ -40,9 +40,10 @@ def _positive_finite(x, what: str) -> float:
 def deformed_add(u, v, h):
     """h-deformed sum  u (+)_h v = h*ln(exp(u/h) + exp(v/h)).
 
-    Computed as max(u,v) + h*log1p(exp(-|u-v|/h)), which never overflows and
-    returns exactly max(u,v) + h*ln(2) when u == v.  Accepts scalars or
-    arrays; -inf is neutral and never produces a NaN.
+    Computed as max(u,v) + h*log1p(exp(-|u-v|/h)), which overflows only
+    where the sum itself is beyond float64 (DomainError), and returns
+    exactly max(u,v) + h*ln(2) when u == v.  Accepts scalars or arrays;
+    -inf is neutral and never produces a NaN.
     """
     h = _positive_finite(h, "deformation parameter")
     ua = np.asarray(u, dtype=float)
@@ -51,7 +52,8 @@ def deformed_add(u, v, h):
     lo = np.minimum(ua, va)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is -inf, and exp(-inf) is 0
         t = (lo - hi) / h
-    out = np.where(np.isneginf(lo), hi, hi + h * np.log1p(np.exp(t)))
+    with _no_overflow("the deformed sum"):
+        out = np.where(np.isneginf(lo), hi, hi + h * np.log1p(np.exp(t)))
     if np.ndim(u) == 0 and np.ndim(v) == 0:
         return float(out) + 0.0
     return out + 0.0
@@ -64,7 +66,8 @@ def _lse_reduce(h: float) -> Callable:
         hi = np.max(a, axis=axis, keepdims=True)
         with np.errstate(over="ignore", invalid="ignore"):  # as in deformed_add
             t = (a - hi) / h
-        s = hi + h * np.log(np.sum(np.exp(t), axis=axis, keepdims=True))
+        with _no_overflow("the deformed sum"):
+            s = hi + h * np.log(np.sum(np.exp(t), axis=axis, keepdims=True))
         out = np.where(np.isneginf(hi), hi, s)
         return np.squeeze(out, axis=axis) + 0.0
 

@@ -23,6 +23,8 @@ from tropikit import (
     TropicalCurve,
     interval_add,
 )
+from tropikit.linalg import _check_system
+from tropikit.semiring import _no_overflow, _require_idempotent
 
 INF = math.inf
 
@@ -99,6 +101,36 @@ def stabilized_star(A):
             return S
         S = nxt
     raise NonConvergent(f"no fixpoint after {n + 1} iterations")
+
+
+def row_sweep_gauss_seidel(H, F, max_iter=None, full_output=False):
+    """Least solution of X = H (x) X (+) F by in-place sweeps.
+
+    Rows are updated in ascending index order within each sweep, every update
+    seeing the freshest values; a sweep that changes nothing ends the solve.
+    info["iterations"] counts sweeps including that final verification sweep.
+    DomainError if a product of finite entries overflows float64.
+
+    tropikit.solve_bellman_gauss_seidel as it was before its sweeps became
+    relaxations over the finite entries: one numpy reduction per row."""
+    _require_idempotent(H.spec, "solve_bellman_gauss_seidel")
+    n = _check_system(H, F)
+    spec = H.spec
+    budget = n + 1 if max_iter is None else int(max_iter)
+    X = F.data.copy()
+    with _no_overflow("solve_bellman_gauss_seidel: a path weight"):
+        for sweep in range(1, budget + 1):
+            changed = False
+            for i in range(n):
+                cand = spec.add(spec.add_reduce(spec.mul(H.data[i, :, None], X), axis=0), F.data[i])
+                cand = np.asarray(cand) + 0.0
+                if not np.array_equal(cand, X[i]):
+                    X[i] = cand
+                    changed = True
+            if not changed:
+                out = SemiringMatrix(X, spec)
+                return (out, {"iterations": sweep}) if full_output else out
+    raise NonConvergent(f"no fixpoint after {budget} sweeps")
 
 
 def brute_legendre(phi, xi_start, xi_step, xi_count):

@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from helpers import per_edge_interval_adjacency
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropikit.interval as interval_mod
 import tropikit.linalg as linalg_mod
 from tropikit import (
+    BOOL,
     MAXMIN,
     MAXPLUS,
     MINPLUS,
@@ -240,6 +242,36 @@ def test_interval_bellman_divergence_flags_endpoint():
     with pytest.raises(NonConvergent) as exc:
         interval_bellman(H, F)
     assert exc.value.endpoint == "upper"
+
+
+_INTERVAL_CELLS = st.sampled_from([1e308, -1e308, 1e307, -1e307]) | st.integers(-5, 5).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([BOOL, MINPLUS, MAXPLUS, MAXMIN]), st.integers(1, 5), st.data())
+def test_interval_solves_never_leave_the_carrier_silently(spec, n, data):
+    # weights and right-hand sides near and beyond the float64 limit: a
+    # typed error or a NaN-free interval matrix, never a warning
+    cells = st.sampled_from([spec.zero, spec.one])  # maxmin: both infinities
+    if spec is not BOOL:
+        cells |= _INTERVAL_CELLS
+    node = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(node, node, cells, cells), max_size=3 * n))
+    if edges and data.draw(st.integers(0, 9)) == 0:
+        edges[0] = (data.draw(st.sampled_from([-1, n])),) + edges[0][1:]  # out of range
+    k = data.draw(st.integers(1, 2))
+    f = st.lists(st.lists(cells, min_size=k, max_size=k), min_size=n, max_size=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            H = interval_adjacency(n, edges, spec)
+            F = IntervalMatrix.from_numeric(data.draw(f), data.draw(f), spec)
+            X = interval_bellman(H, F, max_iter=data.draw(st.none() | st.integers(0, n + 1)))
+        except TropikitError:
+            return
+    for M in (H, F, X):
+        assert not np.isnan(M.lower.data).any() and not np.isnan(M.upper.data).any()
+    assert X.contains_point(X.lower) and X.contains_point(X.upper)
 
 
 def test_containment_monte_carlo():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from re import escape as re_escape
 import tracemalloc
 import warnings
@@ -13,6 +13,7 @@ from helpers import (
     is_negative_cycle,
     one_shot_product,
     per_edge_accumulate,
+    row_sweep_gauss_seidel,
     stabilized_star,
 )
 from hypothesis import given, settings
@@ -431,6 +432,90 @@ def test_gauss_seidel_sweep_counts_on_path_graphs():
     _, info_j = solve_bellman_jacobi(minplus_mat(Hr), minplus_mat(Fr), full_output=True)
     assert info_j["iterations"] == n
     assert Xr == solve_bellman_jacobi(minplus_mat(Hr), minplus_mat(Fr))
+
+
+def _gauss_seidel_outcome(solve, H, F, max_iter):
+    # (X bits, sweeps) or (exception type, message), with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            X, info = solve(H, F, max_iter=max_iter, full_output=True)
+        except TropikitError as e:
+            return type(e), str(e)
+    return X.data.tobytes(), info["iterations"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([BOOL, MAXPLUS, MINPLUS, MAXMIN]), st.integers(1, 8), st.data())
+def test_gauss_seidel_is_bitwise_the_row_sweep(spec, n, data):
+    # the same X bits and sweeps, or the same error: overflows onto both
+    # infinities, negative cycles against the budget, and every max_iter
+    cells = st.just(spec.zero) | (st.sampled_from([0.0, 1.0]) if spec is BOOL else _LINALG_CELLS)
+
+    def matrix(cols):
+        rows = st.lists(st.lists(cells, min_size=cols, max_size=cols), min_size=n, max_size=n)
+        return SemiringMatrix(data.draw(rows), spec)
+
+    H, F = matrix(n), matrix(data.draw(st.integers(1, 3)))
+    max_iter = data.draw(st.none() | st.integers(0, n + 1))
+    assert (_gauss_seidel_outcome(solve_bellman_gauss_seidel, H, F, max_iter)
+            == _gauss_seidel_outcome(row_sweep_gauss_seidel, H, F, max_iter))
+
+
+def _bench_shaped_system(seed, spec, n=300):
+    # as the solve benchmark draws them: 5 % finite arcs, 4 targets
+    rng = np.random.default_rng(seed)
+    finite = rng.random((n, n)) < 0.05
+    np.fill_diagonal(finite, False)
+    H = np.where(finite, rng.integers(1, 100, (n, n)), spec.zero)
+    F = np.full((n, 1), spec.zero)
+    F[rng.choice(n, 4, replace=False), 0] = (rng.integers(0, 21, 4) if spec is MINPLUS
+                                             else rng.integers(50, 151, 4))
+    return SemiringMatrix(H, spec), SemiringMatrix(F, spec)
+
+
+@pytest.mark.parametrize("spec", [MINPLUS, MAXMIN], ids=lambda s: s.name)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gauss_seidel_is_bitwise_the_row_sweep_on_bench_shaped_systems(spec, seed):
+    H, F = _bench_shaped_system(seed, spec)
+    got = _gauss_seidel_outcome(solve_bellman_gauss_seidel, H, F, None)
+    assert got == _gauss_seidel_outcome(row_sweep_gauss_seidel, H, F, None)
+    assert got[1] > 2  # several sweeps, so the later ones start from a moved X
+
+
+def test_gauss_seidel_drops_a_round_that_overflows_on_its_way():
+    # the first round reads X[1] = 1e308 before it settles at 0: 1e308 +
+    # 1e308 overflows there, while the row loop only forms 1e308 + 0
+    H = minplus_mat([[INF, INF, INF], [0.0, INF, INF], [INF, 1e308, INF]])
+    F = minplus_mat([[0.0], [1e308], [INF]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, info = solve_bellman_gauss_seidel(H, F, full_output=True)
+    assert X.data.tolist() == [[0.0], [0.0], [1e308]] and info["iterations"] == 2
+
+
+def test_gauss_seidel_forms_a_bounded_number_of_pairs_per_sweep():
+    # a dense descending chain: row i settles only after row i-1, so
+    # relaxing until nothing moves would take n rounds of n^2/2 pairs each
+    n, k = 200, 1
+    formed = []
+
+    def counting_mul(a, b):
+        out = MINPLUS.mul(a, b)
+        formed.append(np.size(out))
+        return out
+
+    spy = replace(MINPLUS, name="spy-minplus", mul=counting_mul)
+    i, j = np.indices((n, n))
+    H = np.where(j < i, 10.0 * (i - j), INF)
+    H[i == j + 1] = 1.0
+    F = np.full((n, k), INF)
+    F[0] = 0.0
+    X, info = solve_bellman_gauss_seidel(SemiringMatrix(H, spy), SemiringMatrix(F, spy),
+                                         full_output=True)
+    assert X.data[:, 0].tolist() == list(map(float, range(n)))
+    assert sum(formed) <= 3 * n * n * k * info["iterations"]
+    assert X.data.tobytes() == row_sweep_gauss_seidel(minplus_mat(H), minplus_mat(F)).data.tobytes()
 
 
 def random_convergent_instance(rng, spec):

@@ -22,6 +22,7 @@ from tropikit import (
     deformed_spec,
     get_semiring,
     leq,
+    matrix_add,
     matrix_mul,
     mul,
     register_semiring,
@@ -104,6 +105,22 @@ def test_deformed_reductions_are_silent_when_the_gap_overflows():
         got = matrix_mul(SemiringMatrix([[0.0, -1e300]], spec), SemiringMatrix([[0.0], [0.0]], spec))
         assert got.data.tolist() == [[0.0]]
         assert deformed_add(0.0, -1e300, 1e-10) == 0.0
+
+
+def test_deformed_sum_beyond_float64_is_a_domain_error():
+    # hi + h*ln(2) leaves float64: a typed error, not +inf and a warning
+    spec = deformed_spec(1e308)
+    big = SemiringMatrix([[1.7e308]], spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows float64"):
+            add(1.7e308, 1.7e308, spec)
+        with pytest.raises(DomainError, match="overflows float64"):
+            matrix_add(big, big)
+        with pytest.raises(DomainError, match="overflows float64"):
+            matrix_mul(SemiringMatrix([[1.7e308, 1.7e308]], spec), SemiringMatrix([[0.0], [0.0]], spec))
+        # a sum within float64 stays a plain value
+        assert add(1e308, 1e308, spec) == 1e308 + 1e308 * math.log(2.0)
 
 
 def test_deformed_add_gap_bounds():
