@@ -107,6 +107,9 @@ def _row_products(spec: SemiringSpec, a: np.ndarray, take, out: np.ndarray) -> n
     rows of a whose pairwise temporary fits _BLOCK elements (one row at
     least); take(s) is the right operand of block s, of shape (rows of s or
     1, a.shape[1], out.shape[1]).  Each output row is reduced whole."""
+    if not a.shape[1]:  # an empty sum is the zero, which add_reduce may not know
+        out[...] = spec.zero
+        return out
     rows = max(1, _BLOCK // max(1, a.shape[1] * out.shape[1]))
     for lo in range(0, a.shape[0], rows):
         s = slice(lo, lo + rows)

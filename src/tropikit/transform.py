@@ -13,12 +13,14 @@ mass, a minplus one +inf.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridMismatch
+from .linalg import _BLOCK
 from .semiring import MAXPLUS, MINPLUS, SemiringSpec, _no_overflow, _positive_finite
 
 # The idempotent semiring each convention integrates in.
@@ -135,25 +137,160 @@ def convolution(phi: SampledFunction, psi: SampledFunction) -> SampledFunction:
     [start_phi + start_psi, end_phi + end_psi] at the same step.  A single
     sample at 0 with value 0 is the unit.  DomainError if a winning
     phi(x) + psi(g - x) overflows.
+
+    Output-sensitive and exact, after the threshold idea of Bussieck,
+    Hassler, Woeginger & Zimmermann ("Fast algorithms for the maximum
+    convolution", Oper. Res. Lett. 15, 1994): the sums of the best k x k
+    samples of each operand certify every output they bring to at least
+    the threshold that no other pair can beat, the outputs left are reduced
+    directly over their own pairs, and k doubles while the block is a small
+    share of N*M.  Inputs that certify little (constant, concave, tied)
+    fall back to the O(N*M) fold of the shorter operand.  Each output is
+    the extremum of the same float sums as the fold's, so the result is
+    bitwise the fold's.
     """
     spec = _same_convention(phi, psi)
     if phi.step != psi.step:
         raise GridMismatch(f"mixed steps: {phi.step!r} vs {psi.step!r}")
-    # one Python step per sample of the shorter operand
-    a, b = sorted((phi.values, psi.values), key=len)
-    nb = b.size
-    out = np.full(a.size + nb - 1, spec.zero)
+    # min-plus is max-plus on the negated values: fl(-x + -y) == -fl(x + y)
+    sign = 1.0 if spec is MAXPLUS else -1.0
+    a, b = (phi.values, psi.values) if sign > 0 else (-phi.values, -psi.values)
     # a losing pair may overflow harmlessly, so only the winners are judged
     with np.errstate(over="ignore"):
-        for i in range(a.size):
-            spec.add(out[i : i + nb], a[i] + b, out=out[i : i + nb])
-    if math.isinf(out.min()) or math.isinf(out.max()):
-        # an infinite output is the zero only if no finite pair reaches it
-        # (a float convolution of the 0/1 masks: exact counts, and faster than int64)
-        finite_pair = np.convolve(np.isfinite(a).astype(float), np.isfinite(b).astype(float)) > 0
-        if np.any(np.isinf(out) & finite_pair):
-            raise DomainError("convolution: phi(x) + psi(g - x) overflows float64")
-    return SampledFunction(phi.start + psi.start, phi.step, out, phi.convention)
+        out = _max_convolve(a, b)
+        # no operand is +inf, so an output there is a finite pair that won
+        over = out.max() == math.inf
+        if not over and _lowest_sum(a, b) == -math.inf:
+            # a finite pair may overflow onto the zero: an error where it is
+            # the best pair of its output, i.e. where an output at -inf has a
+            # finite pair, which the convolution of the supports tells
+            zero = out == -math.inf
+            support = _max_convolve(np.where(a > -math.inf, 0.0, -math.inf),
+                                    np.where(b > -math.inf, 0.0, -math.inf))
+            over = bool(np.any(zero & (support == 0.0)))
+    if over:
+        raise DomainError("convolution: phi(x) + psi(g - x) overflows float64")
+    return SampledFunction(phi.start + psi.start, phi.step, sign * out, phi.convention)
+
+
+def _lowest_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """The least sum of a finite sample of a and one of b (inf if there is none)."""
+    fa, fb = a[a > -math.inf], b[b > -math.inf]
+    return float(fa.min()) + float(fb.min()) if fa.size and fb.size else math.inf
+
+
+# The side of the first block of _max_convolve.
+_FIRST_K = 32
+
+
+def _max_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[g] = max over i + j = g of a[i] + b[j], for samples that are
+    finite or -inf (-inf takes no part), bitwise the fold's; run it with
+    overflow ignored.
+
+    The finite samples of each operand are sorted best-first, sa and sb.
+    Every pair outside the block sa[:k] x sb[:k] sums to at most
+    T = max(sa[k] + sb[0], sa[0] + sb[k]), since fl(x + y) is monotone in
+    each argument; so an output the block brings to T or above is final.
+    k doubles from 32 while k*k stays within N*M/32, the outputs left have
+    more than 4*k*k pairs, and the last ring of the block settled outputs
+    with at least 16 pairs for each pair it formed (a formed pair costs
+    several pairs of the fold; inputs that certify little stop at once).
+    The outputs left are then reduced over their own pairs, or, when those
+    are over a quarter of N*M, the fold of the shorter operand finishes all.
+    """
+    n, m = a.size, b.size
+    out = np.full(n + m - 1, -math.inf)
+    cap = n * m // 32
+    if _FIRST_K * _FIRST_K > cap:
+        return _fold(a, b, out)
+    kmax = _FIRST_K
+    while 4 * kmax * kmax <= cap:
+        kmax *= 2
+    # ufunc.at runs about twice as fast on int32 indices as on int64
+    index = np.int32 if n + m <= 2**31 else np.intp
+    ia, na = _best_first(a, kmax + 1)
+    ib, nb = _best_first(b, kmax + 1)
+    if not na or not nb:
+        return out
+    ia, ib = ia.astype(index), ib.astype(index)
+    sa, sb = a[ia], b[ib]
+    k, ka, kb, pairs = _FIRST_K, 0, 0, n * m
+    while True:
+        ka1, kb1 = min(k, na), min(k, nb)
+        _scatter(out, ia[:ka], sa[:ka], ib[kb:kb1], sb[kb:kb1])
+        _scatter(out, ia[ka:ka1], sa[ka:ka1], ib[:kb1], sb[:kb1])
+        ring, ka, kb = ka1 * kb1 - ka * kb, ka1, kb1
+        if ka == na and kb == nb:  # the block holds every finite pair
+            return out
+        t = max(float(sa[ka]) + float(sb[0]) if ka < na else -math.inf,
+                float(sa[0]) + float(sb[kb]) if kb < nb else -math.inf)
+        left = np.flatnonzero(out < t)
+        # output g has min(g + 1, n + m - 1 - g, n, m) pairs
+        settled, pairs = pairs, int(np.minimum(np.minimum(left + 1, n + m - 1 - left), min(n, m)).sum())
+        if pairs <= 4 * k * k or k == kmax or settled - pairs < 16 * ring:
+            break
+        k *= 2
+    if 4 * pairs < n * m:
+        return _direct(a, b, out, left)
+    return _fold(a, b, out)
+
+
+def _best_first(v: np.ndarray, count: int):
+    """Indices of the count largest finite samples of v (all, if fewer are
+    finite), largest first; and the number of finite samples."""
+    idx = np.flatnonzero(v > -math.inf)
+    finite = idx.size
+    if finite > count:
+        idx = idx[np.argpartition(-v[idx], count - 1)[:count]]
+    return idx[np.argsort(-v[idx])], finite
+
+
+def _scatter(out, ia, sa, ib, sb):
+    """out[ia[p] + ib[q]] = max(out[...], sa[p] + sb[q]) over all p, q, in
+    blocks of rows of at most _BLOCK pairs (one row at least)."""
+    rows = max(1, _BLOCK // max(1, ib.size))
+    for lo in range(0, ia.size, rows):
+        r = slice(lo, lo + rows)
+        np.maximum.at(out, (ia[r, None] + ib).ravel(), (sa[r, None] + sb).ravel())
+
+
+def _direct(a: np.ndarray, b: np.ndarray, out: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Set out[g], for each g in left (ascending), to the max over all of
+    its pairs: rows of a padded with -inf on both sides against b reversed,
+    in blocks of consecutive outputs of left whose pairs fit _BLOCK (one
+    output at least)."""
+    if a.size < b.size:
+        a, b = b, a
+    n, m = a.size, b.size
+    # win[g, t] + rb[t] is the pair a[g + t - m + 1] + b[m - 1 - t] of output g,
+    # and those pairs are t in [max(0, m - 1 - g), min(m, n + m - 1 - g))
+    win = np.lib.stride_tricks.sliding_window_view(np.pad(a, m - 1, constant_values=-math.inf), m)
+    rb = b[::-1].copy()
+    gs, p = left.tolist(), 0
+    while p < len(gs):
+        hi = min(m, n + m - 1 - gs[p])
+        # the block left[p:q] spans the pairs of its two ends; that grows with q
+        q = bisect.bisect_right(range(len(gs)), _BLOCK, p + 1, len(gs),
+                                key=lambda i: (i - p + 1) * (hi - max(0, m - 1 - gs[i])))
+        lo, rows = max(0, m - 1 - gs[q - 1]), left[p:q]
+        pairs = win[rows, lo:hi]
+        pairs += rb[lo:hi]
+        out[rows] = pairs.max(axis=1)
+        del pairs  # before the next block is gathered
+        p = q
+    return out
+
+
+def _fold(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out (+)= a (*) b by folding the finite samples of the shorter
+    operand into out one at a time: O(N*M), whatever the values."""
+    a, b = sorted((a, b), key=len)
+    nb, tmp = b.size, np.empty(b.size)
+    for i in np.flatnonzero(a > -math.inf).tolist():
+        seg = out[i : i + nb]
+        np.maximum(seg, np.add(a[i], b, out=tmp), out=seg)
+    return out
 
 
 def _frame(x: np.ndarray, v: np.ndarray, c: float):

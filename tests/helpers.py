@@ -16,15 +16,18 @@ from tropikit import (
     CurvePiece,
     DegenerateInput,
     DomainError,
+    GridMismatch,
     IntervalMatrix,
     IntervalValue,
     NonConvergent,
+    SampledFunction,
     SemiringMatrix,
     TropicalCurve,
     interval_add,
 )
 from tropikit.linalg import _check_system
 from tropikit.semiring import _no_overflow, _require_idempotent
+from tropikit.transform import _same_convention
 
 INF = math.inf
 
@@ -149,6 +152,31 @@ def brute_hopf_lax(s0, t, m=1.0):
     c = m / (2.0 * t)
     diff = ys[:, None] - ys[None, :]
     return np.min(s0.values + c * (diff * diff), axis=1)
+
+
+def fold_convolution(phi, psi):
+    """(phi (*) psi)(g) = extremum_x phi(x) + psi(g - x) by folding the
+    shorter operand into the output one sample at a time, O(N*M).
+    DomainError if a winning phi(x) + psi(g - x) overflows.
+
+    tropikit.convolution as it was before it certified its outputs from the
+    best samples of each operand: the reference for its values and errors."""
+    spec = _same_convention(phi, psi)
+    if phi.step != psi.step:
+        raise GridMismatch(f"mixed steps: {phi.step!r} vs {psi.step!r}")
+    a, b = sorted((phi.values, psi.values), key=len)
+    nb = b.size
+    out = np.full(a.size + nb - 1, spec.zero)
+    # a losing pair may overflow harmlessly, so only the winners are judged
+    with np.errstate(over="ignore"):
+        for i in range(a.size):
+            spec.add(out[i : i + nb], a[i] + b, out=out[i : i + nb])
+    if math.isinf(out.min()) or math.isinf(out.max()):
+        # an infinite output is the zero only if no finite pair reaches it
+        finite_pair = np.convolve(np.isfinite(a).astype(float), np.isfinite(b).astype(float)) > 0
+        if np.any(np.isinf(out) & finite_pair):
+            raise DomainError("convolution: phi(x) + psi(g - x) overflows float64")
+    return SampledFunction(phi.start + psi.start, phi.step, out, phi.convention)
 
 
 def per_edge_interval_adjacency(n, edges, spec):

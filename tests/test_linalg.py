@@ -114,6 +114,14 @@ def test_matrix_mul_equals_one_shot_product_bitwise(name, n, k, m):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("name", ["minplus", "maxplus", "maxmin"])
+def test_matrix_mul_over_an_empty_inner_dimension_is_the_zero(name):
+    # an empty sum: numpy's minimum and maximum reductions have no identity
+    spec = get_semiring(name)
+    got = matrix_mul(SemiringMatrix(np.zeros((2, 0)), spec), SemiringMatrix(np.zeros((0, 3)), spec))
+    assert got == SemiringMatrix.zeros(2, 3, spec)
+
+
 def test_matrix_mul_temporary_memory_is_bounded():
     rng = np.random.default_rng(5)
     A = SemiringMatrix(MINPLUS.sample(rng, (300, 300)), MINPLUS)

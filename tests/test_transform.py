@@ -1,10 +1,12 @@
 import math
+import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from helpers import brute_hopf_lax, brute_legendre, dyadic, upper_concave_envelope
+from helpers import brute_hopf_lax, brute_legendre, dyadic, fold_convolution, upper_concave_envelope
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,6 +162,160 @@ def test_convolution_matches_brute_force():
                     for i in range(max(0, k - nb + 1), min(na - 1, k) + 1)
                 )
                 assert out.values[k] == want
+
+
+def assert_convolution_is_the_fold(phi, psi):
+    """convolution(phi, psi) has the bits of the fold, or raises its error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            want = fold_convolution(phi, psi)
+        except DomainError as err:
+            with pytest.raises(DomainError, match=re.escape(str(err))):
+                convolution(phi, psi)
+            return
+        got = convolution(phi, psi)
+    assert (got.start, got.step, got.convention) == (want.start, want.step, want.convention)
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+
+def bench_fn(rng, n, conv):
+    """Samples like the benchmark's: x on 2**-6, values v * 2**-8, |v| <= 2**11."""
+    return grid_fn(-(n // 2) / 64, 1 / 64, rng.integers(-(1 << 11), (1 << 11) + 1, n) / 256, conv)
+
+
+@pytest.mark.parametrize("conv", ["maxplus", "minplus"])
+def test_convolution_is_bitwise_the_fold_on_bench_shaped_inputs(conv):
+    rng = np.random.default_rng(65)
+    for n, m in [(1000, 1000), (2500, 1800), (3000, 3000), (700, 4000), (200, 200)]:
+        assert_convolution_is_the_fold(bench_fn(rng, n, conv), bench_fn(rng, m, conv))
+
+
+@pytest.mark.parametrize("conv", ["maxplus", "minplus"])
+def test_convolution_is_bitwise_the_fold_on_arbitrary_floats(conv):
+    # rounded sums, near-ties a few ulps apart, values far from 1
+    rng = np.random.default_rng(70)
+    for n, m in [(1200, 900), (2000, 2000)]:
+        for draw in (rng.standard_normal, rng.random):
+            scale = 10.0 ** rng.integers(-300, 300)
+            phi = grid_fn(0.0, 0.1, draw(n) * scale, conv)
+            psi = grid_fn(0.3, 0.1, draw(m) * scale, conv)
+            assert_convolution_is_the_fold(phi, psi)
+    # a few levels with their ties broken by an ulp or two: block values
+    # that miss the threshold by an ulp, beaten by a pair outside the block
+    for _ in range(12):
+        n, m, levels = int(rng.integers(200, 600)), int(rng.integers(200, 600)), int(rng.integers(2, 64))
+        phi, psi = (grid_fn(0.0, 0.5, rng.integers(0, levels, k) / 4 * (1.0 + rng.integers(0, 3, k) * 2.0**-52), conv)
+                    for k in (n, m))
+        assert_convolution_is_the_fold(phi, psi)
+
+
+@pytest.mark.parametrize("conv", ["maxplus", "minplus"])
+def test_convolution_is_bitwise_the_fold_on_inputs_that_certify_little(conv):
+    # the best samples of these settle few outputs: the fold finishes them
+    n = 1500
+    i = np.arange(n, dtype=float) / 8
+    shapes = {
+        "constant": np.full(n, 0.5),
+        "tied": np.repeat([1.0, 2.0, 1.0], n // 3),
+        "concave": -i * i,
+        "convex": i * i,
+    }
+    for a in shapes.values():
+        for b in shapes.values():
+            assert_convolution_is_the_fold(grid_fn(0.0, 0.25, a, conv), grid_fn(1.0, 0.25, b, conv))
+
+
+@pytest.mark.parametrize("conv", ["maxplus", "minplus"])
+def test_convolution_is_bitwise_the_fold_on_thin_operands(conv):
+    rng = np.random.default_rng(66)
+    for n, m in [(1, 5000), (5000, 1), (300, 7), (7, 300), (40, 3000), (1, 40000), (20000, 3), (1, 1)]:
+        assert_convolution_is_the_fold(bench_fn(rng, n, conv), bench_fn(rng, m, conv))
+
+
+@pytest.mark.parametrize("conv", ["maxplus", "minplus"])
+def test_convolution_is_bitwise_the_fold_with_zero_samples(conv):
+    # runs of the zero, supports with gaps, a lone finite sample, no support
+    rng = np.random.default_rng(67)
+    zero = -INF if conv == "maxplus" else INF
+
+    def with_runs(n):
+        f = bench_fn(rng, n, conv)
+        values = f.values.copy()
+        for _ in range(int(rng.integers(1, 12))):
+            lo = int(rng.integers(0, n))
+            values[lo : lo + int(rng.integers(1, n // 4))] = zero
+        return grid_fn(f.start, f.step, values, conv)
+
+    def gapped(n):
+        values = np.full(n, zero)
+        values[: n // 10] = bench_fn(rng, n // 10, conv).values
+        values[-n // 10 :] = bench_fn(rng, n // 10, conv).values
+        return grid_fn(0.0, 1 / 64, values, conv)
+
+    lone = np.full(2000, zero)
+    lone[700] = 1.5
+    for _ in range(8):
+        assert_convolution_is_the_fold(with_runs(int(rng.integers(200, 2500))), with_runs(2000))
+    assert_convolution_is_the_fold(gapped(3000), gapped(2000))
+    assert_convolution_is_the_fold(gapped(3000), with_runs(2000))
+    assert_convolution_is_the_fold(grid_fn(0.0, 1 / 64, lone, conv), bench_fn(rng, 2000, conv))
+    assert_convolution_is_the_fold(grid_fn(0.0, 1 / 64, np.full(1000, zero), conv), bench_fn(rng, 2000, conv))
+
+
+@pytest.mark.parametrize("conv", ["maxplus", "minplus"])
+def test_convolution_overflow_verdicts_are_the_folds(conv):
+    sign = 1.0 if conv == "maxplus" else -1.0
+    zero = -INF * sign
+    small = [
+        ([1e308, 0.0], [1e308, 0.0]),
+        ([-1e308], [-1e308]),
+        ([zero, 1.0], [2.0, zero]),
+        ([-1e308, 5.0], [5.0, -1e308]),
+        ([1e308, -1e308, zero], [-1e308, zero, 1e308]),
+    ]
+    for a, b in small:
+        assert_convolution_is_the_fold(grid_fn(0.0, 1.0, a, conv), grid_fn(0.0, 1.0, b, conv))
+    # the same values sprinkled into operands long enough for the block
+    rng = np.random.default_rng(68)
+    for trial in range(24):
+        # odd trials may overflow either way, even ones only onto the zero
+        pool = [1e308, -1e308, zero] if trial % 2 else [-sign * 1e308, zero]
+        fs = []
+        for n in (int(rng.integers(200, 1500)), int(rng.integers(200, 1500))):
+            values = bench_fn(rng, n, conv).values.copy()
+            hit = rng.random(n) < rng.choice([0.001, 0.01, 0.3, 0.9])
+            values[hit] = rng.choice(pool, int(hit.sum()))
+            fs.append(grid_fn(0.0, 1.0, values, conv))
+        assert_convolution_is_the_fold(*fs)
+
+
+def test_convolution_temporary_memory_is_bounded():
+    rng = np.random.default_rng(69)
+    n = 8000
+    for conv in ("maxplus", "minplus"):
+        for phi, psi in [(bench_fn(rng, n, conv), bench_fn(rng, n, conv)),
+                         (grid_fn(0.0, 1.0, np.zeros(n), conv),) * 2]:
+            tracemalloc.start()
+            try:
+                convolution(phi, psi)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
+
+
+def test_convolution_is_subquadratic_on_random_inputs():
+    # the fold needs about 14 s at this size on a 2-core VM; the certified
+    # block and the direct ends need a fraction of a second
+    n = 100_000
+    rng = np.random.default_rng(85)
+    phi = grid_fn(-n / 128, 1 / 64, dyadic(rng, n))
+    psi = grid_fn(-n / 128, 1 / 64, dyadic(rng, n), "maxplus")
+    begin = time.perf_counter()
+    convolution(phi, psi)
+    convolution(grid_fn(phi.start, phi.step, phi.values, "minplus"), grid_fn(psi.start, psi.step, psi.values, "minplus"))
+    assert time.perf_counter() - begin < 3.0
 
 
 def test_convolution_grid_checks():
