@@ -21,7 +21,7 @@ from .dequant import (
     newton_set,
     tropical_curve_2d,
 )
-from .errors import FileFormatError, OutOfMemory, TropikitError
+from .errors import FileFormatError, TropikitError
 from .interval import IntervalMatrix, interval_adjacency, interval_bellman
 from .linalg import (
     SemiringMatrix,
@@ -57,71 +57,27 @@ def _float_list(tok: str):
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {tok!r}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="tropikit",
-        description="idempotent semirings, tropical linear algebra, dequantization",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_):
-        sp = sub.add_parser(name, help=help_)
-        sp.add_argument("-o", "--output", help="write the artifact here instead of stdout")
-        return sp
-
-    q = cmd("axioms", "audit the semiring laws on random samples")
-    q.add_argument("--semiring", type=_semiring, required=True)
-    q.add_argument("--trials", type=int, default=1000)
-    q.add_argument("--seed", type=int, default=0)
-
-    q = cmd("sp", "all-pairs shortest path weights of a graph file")
-    q.add_argument("--graph", required=True)
-
-    q = cmd("bellman", "least solution of X = H@X (+) F from matrix files")
-    q.add_argument("--h-matrix", required=True, dest="h_matrix")
-    q.add_argument("--f-matrix", required=True, dest="f_matrix")
-    q.add_argument("--semiring", type=_semiring, required=True)
-    q.add_argument("--method", choices=("jacobi", "gauss-seidel"), default="jacobi")
-    q.add_argument("--max-iter", type=int, default=None)
-
-    q = cmd("interval-bellman", "interval shortest distances to a target node")
-    q.add_argument("--graph", required=True, help="interval graph file (src dst wmin wmax)")
-    q.add_argument("--target", type=int, required=True)
-    q.add_argument("--max-iter", type=int, default=None)
-
-    q = cmd("newton", "vertices of the Newton set of a polynomial file")
-    q.add_argument("--poly", required=True)
-
-    q = cmd("tropcurve", "corner locus pieces of a max-plus polynomial")
-    q.add_argument("--poly", required=True)
-
-    q = cmd("amoeba", "sample the log image of the line x + y + 1 = 0")
-    q.add_argument("--h", type=_positive_float, required=True)
-    q.add_argument("--samples", type=int, default=256)
-
-    q = cmd("legendre", "slope transform of a sampled maxplus function")
-    q.add_argument("--input", required=True)
-    q.add_argument("--xi-start", type=float, required=True)
-    q.add_argument("--xi-step", type=_positive_float, required=True)
-    q.add_argument("--xi-count", type=int, required=True)
-
-    q = cmd("convolve", "idempotent convolution of two sampled functions")
-    q.add_argument("--phi", required=True)
-    q.add_argument("--psi", required=True)
-
-    q = cmd("hopflax", "evolve minplus initial data by the parabolic kernel")
-    q.add_argument("--input", required=True)
-    q.add_argument("--t", type=_positive_float, required=True)
-    q.add_argument("--m", type=_positive_float, default=1.0)
-
-    q = cmd("dequant-demo", "tabulate the deformed sum at a few h values")
-    q.add_argument("--h", type=_float_list, default=[1.0, 0.1, 0.01])
-    q.add_argument("--u", type=float, default=0.0)
-    q.add_argument("--v", type=float, default=0.0)
-
-    return p
+_COMMANDS = {}
 
 
+def _arg(*flags, **options):
+    return flags, options
+
+
+def _command(name: str, help_: str, *arguments):
+    """Register the decorated handler as subcommand `name`, taking `arguments`
+    (`_arg` pairs) besides -o/--output; the table keeps registration order,
+    which is the --help order."""
+    def register(run):
+        _COMMANDS[name] = (help_, arguments, run)
+        return run
+    return register
+
+
+@_command("axioms", "audit the semiring laws on random samples",
+          _arg("--semiring", type=_semiring, required=True),
+          _arg("--trials", type=int, default=1000),
+          _arg("--seed", type=int, default=0))
 def _run_axioms(args) -> str:
     spec = args.semiring
     results = check_axioms(spec, trials=args.trials, seed=args.seed)
@@ -134,11 +90,19 @@ def _run_axioms(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_command("sp", "all-pairs shortest path weights of a graph file",
+          _arg("--graph", required=True))
 def _run_sp(args) -> str:
     g = fileio.parse_graph(fileio.read_text(args.graph))
     return fileio.format_matrix(shortest_paths(g))
 
 
+@_command("bellman", "least solution of X = H@X (+) F from matrix files",
+          _arg("--h-matrix", required=True),
+          _arg("--f-matrix", required=True),
+          _arg("--semiring", type=_semiring, required=True),
+          _arg("--method", choices=("jacobi", "gauss-seidel"), default="jacobi"),
+          _arg("--max-iter", type=int, default=None))
 def _run_bellman(args) -> str:
     spec = args.semiring
     H = fileio.parse_matrix(fileio.read_text(args.h_matrix), spec)
@@ -147,6 +111,10 @@ def _run_bellman(args) -> str:
     return fileio.format_matrix(solver(H, F, max_iter=args.max_iter))
 
 
+@_command("interval-bellman", "interval shortest distances to a target node",
+          _arg("--graph", required=True, help="interval graph file (src dst wmin wmax)"),
+          _arg("--target", type=int, required=True),
+          _arg("--max-iter", type=int, default=None))
 def _run_interval_bellman(args) -> str:
     n, edges = fileio.parse_interval_graph(fileio.read_text(args.graph))
     if not 0 <= args.target < n:
@@ -158,6 +126,8 @@ def _run_interval_bellman(args) -> str:
     return fileio.format_interval_matrix(interval_bellman(H, F, max_iter=args.max_iter))
 
 
+@_command("newton", "vertices of the Newton set of a polynomial file",
+          _arg("--poly", required=True))
 def _run_newton(args) -> str:
     n, terms = fileio.parse_poly(fileio.read_text(args.poly))
     f = GenPolynomial(n, tuple(terms))
@@ -166,6 +136,8 @@ def _run_newton(args) -> str:
     return verts + "\n"
 
 
+@_command("tropcurve", "corner locus pieces of a max-plus polynomial",
+          _arg("--poly", required=True))
 def _run_tropcurve(args) -> str:
     n, terms = fileio.parse_poly(fileio.read_text(args.poly))
     if n != 2:
@@ -173,27 +145,46 @@ def _run_tropcurve(args) -> str:
     return fileio.format_curve(tropical_curve_2d(terms))
 
 
+@_command("amoeba", "sample the log image of the line x + y + 1 = 0",
+          _arg("--h", type=_positive_float, required=True),
+          _arg("--samples", type=int, default=256))
 def _run_amoeba(args) -> str:
     return fileio.format_points(amoeba_line_sample(args.h, args.samples))
 
 
+@_command("legendre", "slope transform of a sampled maxplus function",
+          _arg("--input", required=True),
+          _arg("--xi-start", type=float, required=True),
+          _arg("--xi-step", type=_positive_float, required=True),
+          _arg("--xi-count", type=int, required=True))
 def _run_legendre(args) -> str:
     phi = fileio.parse_function(fileio.read_text(args.input))
     out = legendre(phi, args.xi_start, args.xi_step, args.xi_count)
     return fileio.format_function(out)
 
 
+@_command("convolve", "idempotent convolution of two sampled functions",
+          _arg("--phi", required=True),
+          _arg("--psi", required=True))
 def _run_convolve(args) -> str:
     phi = fileio.parse_function(fileio.read_text(args.phi))
     psi = fileio.parse_function(fileio.read_text(args.psi))
     return fileio.format_function(convolution(phi, psi))
 
 
+@_command("hopflax", "evolve minplus initial data by the parabolic kernel",
+          _arg("--input", required=True),
+          _arg("--t", type=_positive_float, required=True),
+          _arg("--m", type=_positive_float, default=1.0))
 def _run_hopflax(args) -> str:
     s0 = fileio.parse_function(fileio.read_text(args.input))
     return fileio.format_function(hopf_lax_evolve(s0, args.t, args.m))
 
 
+@_command("dequant-demo", "tabulate the deformed sum at a few h values",
+          _arg("--h", type=_float_list, default=[1.0, 0.1, 0.01]),
+          _arg("--u", type=float, default=0.0),
+          _arg("--v", type=float, default=0.0))
 def _run_dequant_demo(args) -> str:
     lines = []
     for h in args.h:
@@ -201,33 +192,32 @@ def _run_dequant_demo(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HANDLERS = {
-    "axioms": _run_axioms,
-    "sp": _run_sp,
-    "bellman": _run_bellman,
-    "interval-bellman": _run_interval_bellman,
-    "newton": _run_newton,
-    "tropcurve": _run_tropcurve,
-    "amoeba": _run_amoeba,
-    "legendre": _run_legendre,
-    "convolve": _run_convolve,
-    "hopflax": _run_hopflax,
-    "dequant-demo": _run_dequant_demo,
-}
-
-
-def _run(args) -> str:
-    try:
-        return _HANDLERS[args.command](args)
-    except MemoryError as e:
-        raise OutOfMemory(f"{args.command}: {str(e) or 'allocation failed'}") from None
+def _parser(names) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="tropikit",
+        description="idempotent semirings, tropical linear algebra, dequantization",
+    )
+    # a parser built for some of the subcommands still names all of them in its
+    # usage; the full one keeps argparse's default, which its error messages use
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_, arguments, run = _COMMANDS[name]
+        q = sub.add_parser(name, help=help_)
+        q.add_argument("-o", "--output", help="write the artifact here instead of stdout")
+        for flags, options in arguments:
+            q.add_argument(*flags, **options)
+        q.set_defaults(run=run)
+    return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named subcommand's parser; --help and a missing or unknown one need all
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    args = _parser(names).parse_args(argv)
     try:
-        text = _run(args)
+        text = args.run(args)
     except FileFormatError as e:
         print(f"ERROR FileFormatError: {e}", file=sys.stderr)
         return 2
@@ -236,6 +226,9 @@ def main(argv=None) -> int:
         return 2
     except TropikitError as e:
         print(f"ERROR {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"ERROR OutOfMemory: {args.command}: {str(e) or 'allocation failed'}", file=sys.stderr)
         return 1
     if args.output:
         fileio.write_text(args.output, text)

@@ -42,12 +42,15 @@ def deformed_add(u, v, h):
 
     Computed as max(u,v) + h*log1p(exp(-|u-v|/h)), which overflows only
     where the sum itself is beyond float64 (DomainError), and returns
-    exactly max(u,v) + h*ln(2) when u == v.  Accepts scalars or arrays;
-    -inf is neutral and never produces a NaN.
+    exactly max(u,v) + h*ln(2) when u == v.  Accepts scalars or arrays in
+    the carrier R u {-inf} (a NaN or +inf operand is a DomainError); -inf is
+    neutral and never produces a NaN.
     """
     h = _positive_finite(h, "deformation parameter")
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
+    if not (_contains_maxplus(ua).all() and _contains_maxplus(va).all()):
+        raise DomainError("deformed sum operands must lie in R u {-inf}")
     hi = np.maximum(ua, va)
     lo = np.minimum(ua, va)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is -inf, and exp(-inf) is 0
@@ -358,7 +361,7 @@ AXIOM_NAMES = (
 
 
 def check_axioms(spec: SemiringSpec, trials: int = 10000, seed: int = 0) -> dict:
-    """Audit the semiring laws on random triples; returns {law: bool}.
+    """Audit the semiring laws on `trials` >= 1 random triples; returns {law: bool}.
 
     Idempotent instances are compared bitwise (their operations either select
     an operand or shift by dyadic samples, both exact in float64); the
@@ -368,6 +371,8 @@ def check_axioms(spec: SemiringSpec, trials: int = 10000, seed: int = 0) -> dict
     """
     if spec.sample is None:
         raise ValueError(f"{spec.name} has no sampler; cannot audit laws")
+    if trials < 1:
+        raise DomainError("need at least one trial")
     rng = np.random.default_rng(seed)
     x = spec.sample(rng, trials)
     y = spec.sample(rng, trials)

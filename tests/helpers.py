@@ -5,6 +5,7 @@ textbook shortest-path algorithms, exact rational polygon predicates, and
 brute-force envelopes.
 """
 
+import argparse
 import heapq
 import math
 import warnings
@@ -25,6 +26,7 @@ from tropikit import (
     TropicalCurve,
     interval_add,
 )
+from tropikit.cli import _float_list, _positive_float, _semiring
 from tropikit.linalg import _check_system
 from tropikit.semiring import _no_overflow, _require_idempotent
 from tropikit.transform import _same_convention
@@ -483,3 +485,70 @@ def point_to_ray_distance(p, direction):
     d = np.asarray(direction, dtype=float)
     t = max(0.0, float(p @ d) / float(d @ d))
     return float(np.hypot(*(p - t * d)))
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The command line parser as one builder of all eleven subparsers; its help
+    and usage bytes are what `tropikit` prints."""
+    p = argparse.ArgumentParser(
+        prog="tropikit",
+        description="idempotent semirings, tropical linear algebra, dequantization",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def cmd(name, help_):
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("-o", "--output", help="write the artifact here instead of stdout")
+        return sp
+
+    q = cmd("axioms", "audit the semiring laws on random samples")
+    q.add_argument("--semiring", type=_semiring, required=True)
+    q.add_argument("--trials", type=int, default=1000)
+    q.add_argument("--seed", type=int, default=0)
+
+    q = cmd("sp", "all-pairs shortest path weights of a graph file")
+    q.add_argument("--graph", required=True)
+
+    q = cmd("bellman", "least solution of X = H@X (+) F from matrix files")
+    q.add_argument("--h-matrix", required=True, dest="h_matrix")
+    q.add_argument("--f-matrix", required=True, dest="f_matrix")
+    q.add_argument("--semiring", type=_semiring, required=True)
+    q.add_argument("--method", choices=("jacobi", "gauss-seidel"), default="jacobi")
+    q.add_argument("--max-iter", type=int, default=None)
+
+    q = cmd("interval-bellman", "interval shortest distances to a target node")
+    q.add_argument("--graph", required=True, help="interval graph file (src dst wmin wmax)")
+    q.add_argument("--target", type=int, required=True)
+    q.add_argument("--max-iter", type=int, default=None)
+
+    q = cmd("newton", "vertices of the Newton set of a polynomial file")
+    q.add_argument("--poly", required=True)
+
+    q = cmd("tropcurve", "corner locus pieces of a max-plus polynomial")
+    q.add_argument("--poly", required=True)
+
+    q = cmd("amoeba", "sample the log image of the line x + y + 1 = 0")
+    q.add_argument("--h", type=_positive_float, required=True)
+    q.add_argument("--samples", type=int, default=256)
+
+    q = cmd("legendre", "slope transform of a sampled maxplus function")
+    q.add_argument("--input", required=True)
+    q.add_argument("--xi-start", type=float, required=True)
+    q.add_argument("--xi-step", type=_positive_float, required=True)
+    q.add_argument("--xi-count", type=int, required=True)
+
+    q = cmd("convolve", "idempotent convolution of two sampled functions")
+    q.add_argument("--phi", required=True)
+    q.add_argument("--psi", required=True)
+
+    q = cmd("hopflax", "evolve minplus initial data by the parabolic kernel")
+    q.add_argument("--input", required=True)
+    q.add_argument("--t", type=_positive_float, required=True)
+    q.add_argument("--m", type=_positive_float, default=1.0)
+
+    q = cmd("dequant-demo", "tabulate the deformed sum at a few h values")
+    q.add_argument("--h", type=_float_list, default=[1.0, 0.1, 0.01])
+    q.add_argument("--u", type=float, default=0.0)
+    q.add_argument("--v", type=float, default=0.0)
+
+    return p

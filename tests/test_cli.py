@@ -3,22 +3,27 @@
 Each case pins the exact output bytes under golden/.
 """
 
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+from helpers import reference_parser
 
 from tropikit import cli
 
 ROOT = Path(__file__).resolve().parent
 DATA = ROOT / "data"
 GOLDEN = ROOT / "golden"
+# the child finds the package in this checkout, installed or not
+PATH = os.pathsep.join(filter(None, [str(ROOT.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 
 def run_cli(argv):
-    return subprocess.run([sys.executable, "-m", "tropikit", *argv], capture_output=True)
+    return subprocess.run([sys.executable, "-m", "tropikit", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": PATH})
 
 
 CASES = [
@@ -93,10 +98,10 @@ def test_overflowing_star_is_one_error_line():
 
 
 def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
-    def exhausted(args):
+    def exhausted(graph):
         raise MemoryError("Unable to allocate 2.68 GiB for an array")
 
-    monkeypatch.setitem(cli._HANDLERS, "sp", exhausted)
+    monkeypatch.setattr(cli, "shortest_paths", exhausted)
     assert cli.main(["sp", "--graph", str(DATA / "graph.txt")]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -131,6 +136,38 @@ def test_usage_errors_exit_2():
     assert run_cli(["axioms", "--semiring", "deformed:-1"]).returncode == 2
     assert run_cli(["hopflax", "--input", str(DATA / "s0.txt"), "--t", "-1"]).returncode == 2
     assert run_cli(["amoeba", "--h", "0"]).returncode == 2
+
+
+SUBCOMMANDS = ["axioms", "sp", "bellman", "interval-bellman", "newton", "tropcurve", "amoeba",
+               "legendre", "convolve", "hopflax", "dequant-demo"]
+USAGE_CASES = [[], ["-h"], ["--help"], ["bogus"], ["--bogus"], ["-o", "x"], ["SP"],
+               *([sub, "--help"] for sub in SUBCOMMANDS),
+               ["sp", "--graph", "g", "--bogus"], ["amoeba", "--h", "0"],
+               ["bellman", "--method", "newton"], ["axioms", "--semiring", "bogus"],
+               ["dequant-demo", "--h", "a,b"]]
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=lambda a: " ".join(a) or "(none)")
+def test_help_and_usage_errors_match_the_reference_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = []
+    for parse in (cli.main, reference_parser().parse_args):
+        with pytest.raises(SystemExit) as e:
+            parse(argv)
+        got.append((e.value.code, *capsys.readouterr()))
+    assert got[0] == got[1]
+
+
+def test_library_rejects_the_command_line_values_outside_the_domain(capsys):
+    for argv in (["axioms", "--semiring", "minplus", "--trials", "-1"],
+                 ["axioms", "--semiring", "minplus", "--trials", "0"],
+                 ["dequant-demo", "--u", "inf", "--v", "inf"],
+                 ["dequant-demo", "--u", "nan"]):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("ERROR DomainError:")
+        assert err.count("\n") == 1
 
 
 def test_fractional_node_id_exits_2_in_a_plain_run(tmp_path):

@@ -146,6 +146,17 @@ def test_deformed_add_rejects_bad_h():
             deformed_add(1.0, 2.0, h)
 
 
+def test_deformed_add_rejects_operands_outside_the_carrier():
+    nan = float("nan")
+    for u, v in ((POS_INF, POS_INF), (nan, 0.0), (0.0, nan), (POS_INF, NEG_INF),
+                 (np.array([0.0, POS_INF]), 0.0), (0.0, np.array([NEG_INF, nan]))):
+        with pytest.raises(DomainError, match="R u"):
+            deformed_add(u, v, 1.0)
+    # -inf stays neutral, in scalars and arrays
+    assert deformed_add(NEG_INF, -5.0, 0.5) == -5.0
+    assert deformed_add(np.array([NEG_INF, 1.0]), NEG_INF, 0.5).tolist() == [NEG_INF, 1.0]
+
+
 def test_leq_examples():
     assert leq(3.0, 5.0, MAXPLUS)
     assert not leq(5.0, 3.0, MAXPLUS)
@@ -193,6 +204,12 @@ def test_check_axioms_all_instances():
         results = check_axioms(spec, trials=2000, seed=1)
         failed = [law for law, ok in results.items() if not ok]
         assert failed == ["add-idempotent"], results
+
+
+def test_check_axioms_needs_a_trial():
+    for trials in (0, -1):
+        with pytest.raises(DomainError, match="at least one trial"):
+            check_axioms(MINPLUS, trials=trials)
 
 
 def test_deformed_idempotency_gap_is_h_ln2():
