@@ -34,7 +34,7 @@ from .errors import (
     DomainError,
     UnsupportedDimension,
 )
-from .semiring import NEG_INF, POS_INF, _positive_finite
+from .semiring import NEG_INF, POS_INF, _count, _no_overflow, _positive_finite
 
 
 def _frac_vec(v, n: Optional[int] = None) -> Tuple[Fraction, ...]:
@@ -443,16 +443,21 @@ def tropical_curve_2d(terms) -> TropicalCurve:
 # --- amoebas of the complex line x + y + 1 = 0 -------------------------------
 
 
+def _h_ln(h: float, x, y, what: str) -> np.ndarray:
+    # h*ln|x + iy| by libm's hypot and log, the bits abs(complex) and math.log give
+    with _no_overflow(f"{what}: h*ln|z|"):
+        m = np.hypot(x, y)
+        return h * np.array([math.log(v) for v in m.ravel().tolist()]).reshape(m.shape)
+
+
 def log_h(z, h: float):
-    """Coordinatewise h*ln|z| for a tuple of nonzero complex numbers."""
-    _positive_finite(h, "h")
-    out = []
-    for zi in z:
-        zi = complex(zi)
-        if zi == 0:
-            raise DomainError("log image undefined at a zero coordinate")
-        out.append(h * math.log(abs(zi)))
-    return tuple(out)
+    """Coordinatewise h*ln|z| for a tuple of nonzero complex numbers;
+    DomainError if one overflows float64."""
+    h = _positive_finite(h, "h")
+    z = [complex(zi) for zi in z]
+    if 0 in z:
+        raise DomainError("log image undefined at a zero coordinate")
+    return tuple(_h_ln(h, [c.real for c in z], [c.imag for c in z], "log_h").tolist())
 
 
 def amoeba_line_sample(h: float, samples: int) -> np.ndarray:
@@ -462,24 +467,15 @@ def amoeba_line_sample(h: float, samples: int) -> np.ndarray:
     ln|t| at an even number of symmetric levels in [-3, 3] (never 0, so t
     stays off the punctures) and spreads angles uniformly; the first
     `samples` grid points are returned as an (samples, 2) float array.
+    DomainError if h*ln|z| overflows float64.
     """
-    _positive_finite(h, "h")
-    samples = int(samples)
-    if samples < 1:
-        raise DomainError("need at least one sample")
-    n_theta = max(1, math.isqrt(samples - 1) + 1)
+    h = _positive_finite(h, "h")
+    samples = _count(samples, "samples")
+    n_theta = math.isqrt(samples - 1) + 1
     n_r = -(-samples // n_theta)
-    if n_r % 2:
-        n_r += 1
-    span = 3.0
-    pts = []
-    for j in range(n_r):
-        u = span * (2 * j + 1 - n_r) / n_r
-        r = math.exp(u)
-        for k in range(n_theta):
-            theta = 2.0 * math.pi * (k + 0.5) / n_theta
-            t = complex(r * math.cos(theta), r * math.sin(theta))
-            pts.append(log_h((t, -1.0 - t), h))
-            if len(pts) == samples:
-                return np.array(pts, dtype=float)
-    return np.array(pts, dtype=float)
+    n_r += n_r % 2
+    j, k = np.divmod(np.arange(samples), n_theta)
+    r = np.array([math.exp(3.0 * (2 * i + 1 - n_r) / n_r) for i in range(n_r)])[j]
+    theta = [2.0 * math.pi * (i + 0.5) / n_theta for i in range(n_theta)]
+    x, y = r * np.array([[math.cos(a) for a in theta], [math.sin(a) for a in theta]])[:, k]
+    return _h_ln(h, np.column_stack([x, -1.0 - x]), y[:, None], "amoeba_line_sample")

@@ -15,7 +15,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 
 from .errors import DomainError, NegativeCycle, NonConvergent, OutOfMemory, ShapeMismatch
-from .semiring import MINPLUS, SemiringSpec, _no_overflow, _require_idempotent, _same_spec
+from .semiring import MINPLUS, SemiringSpec, _count, _no_overflow, _require_idempotent, _same_spec
 
 # Float64 elements per pairwise temporary in matrix_mul: 256 KiB, which stays
 # in L2 whatever the size of the problem.
@@ -215,7 +215,7 @@ def solve_bellman_jacobi(H, F, max_iter=None, full_output=False):
     including the one that detects stabilization.  DomainError on overflow."""
     _require_idempotent(H.spec, "solve_bellman_jacobi")
     n = _check_system(H, F)
-    budget = n + 1 if max_iter is None else int(max_iter)
+    budget = n + 1 if max_iter is None else _count(max_iter, "max_iter")
     X = F
     for it in range(1, budget + 1):
         nxt = matrix_add(matrix_mul(H, X), F)
@@ -299,7 +299,7 @@ def solve_bellman_gauss_seidel(H, F, max_iter=None, full_output=False):
     _require_idempotent(H.spec, "solve_bellman_gauss_seidel")
     n = _check_system(H, F)
     spec, f = H.spec, F.data
-    budget = n + 1 if max_iter is None else int(max_iter)
+    budget = n + 1 if max_iter is None else _count(max_iter, "max_iter")
     (WL, CL), (WU, CU) = _split_rows(H)
     X = f
     with _no_overflow("solve_bellman_gauss_seidel: a path weight"):

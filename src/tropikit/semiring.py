@@ -37,6 +37,13 @@ def _positive_finite(x, what: str) -> float:
     return float(x)
 
 
+def _count(x, what: str, least: int = 1) -> int:
+    if isinstance(x, (int, np.integer)) or (isinstance(x, float) and x.is_integer()):
+        if x >= least:
+            return int(x)
+    raise DomainError(f"{what} must be an integer >= {least}, got {x!r}")
+
+
 def deformed_add(u, v, h):
     """h-deformed sum  u (+)_h v = h*ln(exp(u/h) + exp(v/h)).
 
@@ -371,9 +378,8 @@ def check_axioms(spec: SemiringSpec, trials: int = 10000, seed: int = 0) -> dict
     """
     if spec.sample is None:
         raise ValueError(f"{spec.name} has no sampler; cannot audit laws")
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    rng = np.random.default_rng(seed)
+    trials = _count(trials, "trials")
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     x = spec.sample(rng, trials)
     y = spec.sample(rng, trials)
     z = spec.sample(rng, trials)

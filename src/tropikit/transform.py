@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatch
 from .linalg import _BLOCK
-from .semiring import MAXPLUS, MINPLUS, SemiringSpec, _no_overflow, _positive_finite
+from .semiring import MAXPLUS, MINPLUS, SemiringSpec, _count, _no_overflow, _positive_finite
 
 # The idempotent semiring each convention integrates in.
 _SPECS = {"maxplus": MAXPLUS, "minplus": MINPLUS}
@@ -383,9 +383,7 @@ def legendre(
     """
     if phi.convention != "maxplus":
         raise DomainError("the slope transform is defined for maxplus functions")
-    xi_count = int(xi_count)
-    if xi_count < 1:
-        raise DomainError("need at least one output sample")
+    xi_count = _count(xi_count, "xi_count")
     xi_start, xi_step = _check_grid(xi_start, xi_step, xi_count)
     xs, xis = phi.grid(), xi_start + xi_step * np.arange(xi_count)
     X, V, _, ex, s = _frame(xs, phi.values, 0.0)

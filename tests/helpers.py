@@ -25,10 +25,11 @@ from tropikit import (
     SemiringMatrix,
     TropicalCurve,
     interval_add,
+    log_h,
 )
 from tropikit.cli import _float_list, _positive_float, _semiring
 from tropikit.linalg import _check_system
-from tropikit.semiring import _no_overflow, _require_idempotent
+from tropikit.semiring import _no_overflow, _positive_finite, _require_idempotent
 from tropikit.transform import _same_convention
 
 INF = math.inf
@@ -485,6 +486,36 @@ def point_to_ray_distance(p, direction):
     d = np.asarray(direction, dtype=float)
     t = max(0.0, float(p @ d) / float(d @ d))
     return float(np.hypot(*(p - t * d)))
+
+
+def per_sample_amoeba_line_sample(h: float, samples: int) -> np.ndarray:
+    """Sample the log_h image of the complex line {x + y + 1 = 0}.
+
+    Zeros are parametrized as (t, -1 - t) for t != 0, -1.  The grid places
+    ln|t| at an even number of symmetric levels in [-3, 3] (never 0, so t
+    stays off the punctures) and spreads angles uniformly; the first
+    `samples` grid points are returned as an (samples, 2) float array.
+    """
+    _positive_finite(h, "h")
+    samples = int(samples)
+    if samples < 1:
+        raise DomainError("need at least one sample")
+    n_theta = max(1, math.isqrt(samples - 1) + 1)
+    n_r = -(-samples // n_theta)
+    if n_r % 2:
+        n_r += 1
+    span = 3.0
+    pts = []
+    for j in range(n_r):
+        u = span * (2 * j + 1 - n_r) / n_r
+        r = math.exp(u)
+        for k in range(n_theta):
+            theta = 2.0 * math.pi * (k + 0.5) / n_theta
+            t = complex(r * math.cos(theta), r * math.sin(theta))
+            pts.append(log_h((t, -1.0 - t), h))
+            if len(pts) == samples:
+                return np.array(pts, dtype=float)
+    return np.array(pts, dtype=float)
 
 
 def reference_parser() -> argparse.ArgumentParser:

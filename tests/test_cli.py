@@ -159,8 +159,16 @@ def test_help_and_usage_errors_match_the_reference_parser(argv, monkeypatch, cap
 
 
 def test_library_rejects_the_command_line_values_outside_the_domain(capsys):
+    bellman = ["bellman", "--h-matrix", str(DATA / "h.txt"), "--f-matrix", str(DATA / "f.txt"),
+               "--semiring", "minplus"]
     for argv in (["axioms", "--semiring", "minplus", "--trials", "-1"],
                  ["axioms", "--semiring", "minplus", "--trials", "0"],
+                 ["axioms", "--semiring", "minplus", "--seed", "-1"],
+                 [*bellman, "--max-iter", "-1"],
+                 [*bellman, "--method", "gauss-seidel", "--max-iter", "0"],
+                 ["interval-bellman", "--graph", str(DATA / "interval_graph.txt"), "--target", "2",
+                  "--max-iter", "0"],
+                 ["amoeba", "--h", "1e308", "--samples", "256"],
                  ["dequant-demo", "--u", "inf", "--v", "inf"],
                  ["dequant-demo", "--u", "nan"]):
         assert cli.main(argv) == 1

@@ -1,9 +1,12 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import point_to_ray_distance
+from helpers import per_sample_amoeba_line_sample, point_to_ray_distance
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropikit import (
     DegenerateInput,
@@ -207,3 +210,50 @@ def test_amoeba_input_validation():
         amoeba_line_sample(-1.0, 10)
     with pytest.raises(DomainError):
         amoeba_line_sample(1.0, 0)
+
+
+@pytest.mark.parametrize("h", [2, 1, 0.5, 0.25, 0.1, 1e-3])
+def test_amoeba_is_bitwise_the_per_sample_loop(h):
+    for samples in [*range(1, 300), 2000, 3001, 4096, 7999, 8000]:
+        got, want = amoeba_line_sample(h, samples), per_sample_amoeba_line_sample(h, samples)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes(), samples
+
+
+def test_log_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"^log_h: h\*ln\|z\| overflows float64$"):
+        log_h((math.exp(3.0),), 1e308)
+    with pytest.raises(DomainError, match=r"^amoeba_line_sample: h\*ln\|z\| overflows float64$"):
+        amoeba_line_sample(1e308, 256)
+
+
+_H_LOG_UNIFORM = st.floats(math.log(5e-324), math.log(1.7e308)).map(math.exp).filter(lambda h: h > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_H_LOG_UNIFORM | st.just(1e308), st.integers(1, 300),
+       st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False).filter(bool),
+                min_size=1, max_size=3))
+def test_log_images_are_finite_or_a_domain_error(h, samples, z):
+    # h*ln|z| as the per-point float expression, or DomainError exactly when
+    # that expression leaves float64; never a warning
+    def per_point(zi):
+        try:
+            return h * math.log(abs(zi))  # a Python float product overflows to inf
+        except OverflowError:  # |zi| itself is beyond float64
+            return math.inf
+
+    with np.errstate(over="ignore"):
+        want_amoeba = h * per_sample_amoeba_line_sample(1.0, samples)
+    want_log = np.array([per_point(complex(c)) for c in z])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, args, want in ((amoeba_line_sample, (h, samples), want_amoeba),
+                              (log_h, (z, h), want_log)):
+            try:
+                got = np.asarray(f(*args))
+            except DomainError:
+                assert not np.isfinite(want).all()
+                continue
+            assert np.isfinite(got).all()
+            assert got.tobytes() == want.tobytes()

@@ -466,6 +466,10 @@ def test_gauss_seidel_is_bitwise_the_row_sweep(spec, n, data):
 
     H, F = matrix(n), matrix(data.draw(st.integers(1, 3)))
     max_iter = data.draw(st.none() | st.integers(0, n + 1))
+    if max_iter == 0:  # the solver's count check; the oracle would report a divergence
+        assert (_gauss_seidel_outcome(solve_bellman_gauss_seidel, H, F, max_iter)
+                == (DomainError, "max_iter must be an integer >= 1, got 0"))
+        return
     assert (_gauss_seidel_outcome(solve_bellman_gauss_seidel, H, F, max_iter)
             == _gauss_seidel_outcome(row_sweep_gauss_seidel, H, F, max_iter))
 

@@ -13,19 +13,26 @@ from tropikit import (
     MINPLUS,
     NONNEG,
     DomainError,
+    IntervalMatrix,
     NotIdempotent,
+    SampledFunction,
     SemiringMatrix,
     SemiringSpec,
     add,
+    amoeba_line_sample,
     check_axioms,
     deformed_add,
     deformed_spec,
     get_semiring,
+    interval_bellman,
+    legendre,
     leq,
     matrix_add,
     matrix_mul,
     mul,
     register_semiring,
+    solve_bellman_gauss_seidel,
+    solve_bellman_jacobi,
 )
 
 NEG_INF = float("-inf")
@@ -208,8 +215,40 @@ def test_check_axioms_all_instances():
 
 def test_check_axioms_needs_a_trial():
     for trials in (0, -1):
-        with pytest.raises(DomainError, match="at least one trial"):
+        with pytest.raises(DomainError, match="trials must be an integer >= 1"):
             check_axioms(MINPLUS, trials=trials)
+
+
+_H2 = SemiringMatrix([[POS_INF, 1.0], [POS_INF, POS_INF]], MINPLUS)
+_F2 = SemiringMatrix([[POS_INF], [0.0]], MINPLUS)
+_I2 = IntervalMatrix.from_arrays(_H2.data, _H2.data, MINPLUS)
+_J2 = IntervalMatrix.from_arrays(_F2.data, _F2.data, MINPLUS)
+_PHI = SampledFunction(0.0, 1.0, [0.0, 1.0], "maxplus")
+# (name, least, the entry point called with one count)
+COUNTS = [
+    ("trials", 1, lambda c: check_axioms(MINPLUS, trials=c)),
+    ("seed", 0, lambda c: check_axioms(MINPLUS, trials=10, seed=c)),
+    ("samples", 1, lambda c: amoeba_line_sample(1.0, c)),
+    ("xi_count", 1, lambda c: legendre(_PHI, 0.0, 1.0, c)),
+    ("max_iter", 1, lambda c: solve_bellman_jacobi(_H2, _F2, max_iter=c)),
+    ("max_iter", 1, lambda c: solve_bellman_gauss_seidel(_H2, _F2, max_iter=c)),
+    ("max_iter", 1, lambda c: interval_bellman(_I2, _J2, max_iter=c)),
+]
+COUNT_IDS = ["trials", "seed", "samples", "xi_count", "jacobi", "gauss-seidel", "interval"]
+
+
+@pytest.mark.parametrize("bad", ["below", 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("what,least,call", COUNTS, ids=COUNT_IDS)
+def test_counts_are_integers_from_their_least(what, least, call, bad):
+    # one rule: an int, a numpy integer or an integral float >= least
+    bad = least - 1 if bad == "below" else bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as e:
+            call(bad)
+    assert str(e.value) == f"{what} must be an integer >= {least}, got {bad!r}"
+    for ok in (3.0, np.int64(3)):
+        call(ok)
 
 
 def test_deformed_idempotency_gap_is_h_ln2():
