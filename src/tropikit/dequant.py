@@ -12,17 +12,18 @@ survives the limit is carried by convex sets: Newton sets multiply by
 Minkowski sum and add by convex hull of the union, corner loci of max-plus
 polynomials are tropical curves, and log-images of complex varieties shrink
 onto them as h -> 0.  Polytopes and curves are exact over the rationals:
-the planar hull and the corner locus run on integers scaled once by the lcm
+every polytope and the corner locus run on integers scaled once by the lcm
 of the denominators, and convert back to exact Fractions at the output.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -32,18 +33,30 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     DomainError,
+    OutOfMemory,
     UnsupportedDimension,
 )
 from .semiring import NEG_INF, POS_INF, _count, _no_overflow, _positive_finite
 
 
-def _frac_vec(v, n: Optional[int] = None) -> Tuple[Fraction, ...]:
+def _frac_vec(v, n: int) -> Tuple[Fraction, ...]:
     try:
         t = tuple(c if type(c) is Fraction else Fraction(c) for c in v)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as e:
         raise DomainError(f"cannot read {v!r} as a rational vector: {e}") from None
-    if n is not None and len(t) != n:
+    if len(t) != n:
         raise DimensionMismatch(f"expected a {n}-vector, got {len(t)} components")
+    return t
+
+
+def _finite_vec(v, kind, what: str) -> tuple:
+    """v as a tuple of finite kind (float or complex) numbers, else DomainError."""
+    try:
+        t = tuple(kind(c) for c in v)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise DomainError(f"cannot read {what} {v!r}: {e}") from None
+    if not all(map(cmath.isfinite, t)):
+        raise DomainError(f"{what} must be finite, got {t}")
     return t
 
 
@@ -53,10 +66,6 @@ def _scaled(points, n: int):
     pts = [_frac_vec(p, n) for p in points]
     L = math.lcm(*(c.denominator for p in pts for c in p))
     return L, [tuple(c.numerator * (L // c.denominator) for c in p) for p in pts]
-
-
-def _dot_float(d: Tuple[Fraction, ...], x: Sequence[float]) -> float:
-    return float(sum(float(dk) * xk for dk, xk in zip(d, x)))
 
 
 # --- generalized polynomials -------------------------------------------------
@@ -131,14 +140,20 @@ def poly_mul(f: GenPolynomial, g: GenPolynomial) -> GenPolynomial:
     return GenPolynomial(f.n, tuple((c, d) for c, d in terms))
 
 
-def _point(f: GenPolynomial, x: Sequence[float]) -> tuple:
-    """x as a tuple of floats, if it has one finite coordinate per variable of f."""
-    xs = tuple(float(v) for v in x)
+def _dots(f: GenPolynomial, x: Sequence[float]) -> tuple:
+    """(xs, dots): x as floats, one finite coordinate per variable of f, and
+    the float dot products (d_i, xs); DomainError unless their maximum is a
+    finite float."""
+    xs = _finite_vec(x, float, "evaluation point")
     if len(xs) != f.n:
         raise DimensionMismatch(f"point has {len(xs)} coordinates, polynomial has {f.n}")
-    if not all(math.isfinite(v) for v in xs):
-        raise DomainError("evaluation point must be finite")
-    return xs
+    try:
+        dots = [sum(float(dk) * xk for dk, xk in zip(d, xs)) for _, d in f.terms]
+    except OverflowError:  # an exponent beyond float64
+        dots = [math.nan]
+    if any(map(math.isnan, dots)) or math.isinf(max(dots)):
+        raise DomainError(f"the exponent dot products at {xs} overflow float64")
+    return xs, dots
 
 
 def eval_dequantized(f: GenPolynomial, x: Sequence[float], h: float) -> float:
@@ -147,11 +162,11 @@ def eval_dequantized(f: GenPolynomial, x: Sequence[float], h: float) -> float:
     With s_i = (d_i, x)/h + ln|a_i| this is h*(M + ln|sum_i sgn(a_i)
     e^{s_i - M}|), M = max s_i; the shifted exponentials stay in [0, 1].
     Returns -inf (and warns) if mixed-sign terms cancel exactly at x, and
-    raises DomainError if the largest s_i is not a finite float.
+    raises DomainError if the largest s_i or the result is not a finite float.
     """
     _positive_finite(h, "h")
-    xs = _point(f, x)
-    s = np.array([_dot_float(d, xs) / h + math.log(abs(c)) for c, d in f.terms])
+    xs, dots = _dots(f, x)
+    s = np.array([v / h + math.log(abs(c)) for v, (c, _) in zip(dots, f.terms)])
     signs = np.array([1.0 if c > 0 else -1.0 for c, _ in f.terms])
     m = float(s.max())
     if not math.isfinite(m):
@@ -164,7 +179,10 @@ def eval_dequantized(f: GenPolynomial, x: Sequence[float], h: float) -> float:
             stacklevel=2,
         )
         return NEG_INF
-    return h * (m + math.log(abs(inner)))
+    out = h * (m + math.log(abs(inner)))
+    if not math.isfinite(out):
+        raise DomainError(f"h*ln|f| at {xs} overflows float64 for h = {h!r}")
+    return out
 
 
 def dequantize_limit(f: GenPolynomial, x: Sequence[float]) -> float:
@@ -174,8 +192,7 @@ def dequantize_limit(f: GenPolynomial, x: Sequence[float]) -> float:
     the leading exponent must be attained by exactly one term, otherwise the
     limit genuinely depends on cancellations and AmbiguousLimit is raised.
     """
-    xs = _point(f, x)
-    dots = [_dot_float(d, xs) for _, d in f.terms]
+    xs, dots = _dots(f, x)
     m = max(dots)
     if f.positive or dots.count(m) == 1:
         return m + 0.0
@@ -185,33 +202,24 @@ def dequantize_limit(f: GenPolynomial, x: Sequence[float]) -> float:
 # --- polytopes over the rationals -------------------------------------------
 
 
-def _hull_2d(points):
-    # Andrew's monotone chain on integers; strict turns only, so no collinear
-    # interior vertices survive.  Output is counterclockwise from the
-    # lexicographic minimum.  Degenerate inputs give a point or a segment.
-    L, ipts = _scaled(points, 2)
-    pts = sorted(set(ipts))
-    if len(pts) > 2:
-        chains = []
-        for seq in (pts, pts[::-1]):
-            chain = []
-            for p in seq:
-                while len(chain) >= 2:
-                    (ox, oy), (ax, ay) = chain[-2], chain[-1]
-                    if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
-                        break
-                    chain.pop()
-                chain.append(p)
-            chains.append(chain[:-1])
-        pts = chains[0] + chains[1]
-    return [(Fraction(x, L), Fraction(y, L)) for x, y in pts]
-
-
-def _hull_1d(points):
-    pts = sorted(set(points))
-    if len(pts) == 1:
+def _chain(pts):
+    # Andrew's monotone chain on sorted distinct integer points; strict turns
+    # only, so no collinear interior vertices survive.  Counterclockwise from
+    # the lexicographic minimum; degenerate inputs give a point or a segment.
+    if len(pts) <= 2:
         return pts
-    return [pts[0], pts[-1]]
+    chains = []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                    break
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
 
 
 def _support_directions(n: int):
@@ -231,19 +239,18 @@ def _support_directions(n: int):
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
-    """Convex hull of finitely many rational points.
+    """Convex hull of finitely many rational points, read once into integers
+    scaled by the lcm of their denominators and made exact Fractions at the end.
 
-    Dimensions 1 and 2 are reduced to canonical vertex lists of exact
-    Fractions (sorted endpoints; counterclockwise from the lexicographic
-    minimum, found on the points scaled once to integers).  Higher
-    dimensions keep the deduplicated generating points with reduced=False;
-    equality then compares exact support-function values on a fixed bundle
-    of 64 integer directions, a randomized but arithmetic-exact certificate.
+    Dimensions 1 and 2 are reduced to canonical vertex lists (sorted
+    endpoints; counterclockwise from the lexicographic minimum).  Higher
+    dimensions keep the sorted distinct points; equality then compares exact
+    support-function values on a fixed bundle of 64 integer directions, a
+    randomized but arithmetic-exact certificate.
     """
 
     n: int
     vertices: tuple
-    reduced: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -251,13 +258,18 @@ class Polytope:
         pts = list(self.vertices)
         if not pts:
             raise DomainError("polytope needs at least one point")
-        if self.n == 2:
-            verts, red = _hull_2d(pts), True
-        else:
-            pts = [_frac_vec(p, self.n) for p in pts]
-            verts, red = (_hull_1d(pts), True) if self.n == 1 else (sorted(set(pts)), False)
-        object.__setattr__(self, "vertices", tuple(verts))
-        object.__setattr__(self, "reduced", red)
+        L, pts = _scaled(pts, self.n)
+        pts = sorted(set(pts))
+        if self.n == 1:
+            pts = sorted({pts[0], pts[-1]})
+        elif self.n == 2:
+            pts = _chain(pts)
+        object.__setattr__(self, "vertices", tuple(tuple(Fraction(c, L) for c in p) for p in pts))
+
+    @property
+    def reduced(self) -> bool:
+        """True when vertices is the canonical vertex list, i.e. n <= 2."""
+        return self.n <= 2
 
     def support(self, u) -> Fraction:
         """max over vertices of (u, v), exact."""
@@ -451,10 +463,10 @@ def _h_ln(h: float, x, y, what: str) -> np.ndarray:
 
 
 def log_h(z, h: float):
-    """Coordinatewise h*ln|z| for a tuple of nonzero complex numbers;
-    DomainError if one overflows float64."""
+    """Coordinatewise h*ln|z| for a tuple of nonzero finite complex numbers;
+    DomainError for any other coordinate or if one h*ln|z| overflows float64."""
     h = _positive_finite(h, "h")
-    z = [complex(zi) for zi in z]
+    z = _finite_vec(z, complex, "complex point")
     if 0 in z:
         raise DomainError("log image undefined at a zero coordinate")
     return tuple(_h_ln(h, [c.real for c in z], [c.imag for c in z], "log_h").tolist())
@@ -467,14 +479,18 @@ def amoeba_line_sample(h: float, samples: int) -> np.ndarray:
     ln|t| at an even number of symmetric levels in [-3, 3] (never 0, so t
     stays off the punctures) and spreads angles uniformly; the first
     `samples` grid points are returned as an (samples, 2) float array.
-    DomainError if h*ln|z| overflows float64.
+    DomainError if h*ln|z| overflows float64; OutOfMemory for a count
+    beyond numpy's largest array.
     """
     h = _positive_finite(h, "h")
     samples = _count(samples, "samples")
     n_theta = math.isqrt(samples - 1) + 1
     n_r = -(-samples // n_theta)
     n_r += n_r % 2
-    j, k = np.divmod(np.arange(samples), n_theta)
+    try:
+        j, k = np.divmod(np.arange(samples), n_theta)
+    except ValueError:
+        raise OutOfMemory(f"{samples} samples are too many to allocate") from None
     r = np.array([math.exp(3.0 * (2 * i + 1 - n_r) / n_r) for i in range(n_r)])[j]
     theta = [2.0 * math.pi * (i + 0.5) / n_theta for i in range(n_theta)]
     x, y = r * np.array([[math.cos(a) for a in theta], [math.sin(a) for a in theta]])[:, k]

@@ -104,10 +104,6 @@ class IntervalMatrix:
         up = spec.add(a, b) == b
         return cls.from_arrays(np.where(up, a, b), np.where(up, b, a), spec)
 
-    @classmethod
-    def degenerate(cls, M: linalg.SemiringMatrix) -> "IntervalMatrix":
-        return cls(M, M)
-
     @property
     def spec(self) -> SemiringSpec:
         return self.lower.spec

@@ -19,6 +19,7 @@ plain float64; -0.0 is normalized to +0.0 so equality can be bitwise.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -32,9 +33,10 @@ POS_INF = float("inf")
 
 
 def _positive_finite(x, what: str) -> float:
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise DomainError(f"{what} must be a positive finite real, got {x!r}")
-    return float(x)
+    # an exact comparison: float(x) would overflow for an int beyond float64
+    if isinstance(x, (int, float)) and 0 < x <= sys.float_info.max:
+        return float(x)
+    raise DomainError(f"{what} must be a positive finite real, got {x!r}")
 
 
 def _count(x, what: str, least: int = 1) -> int:

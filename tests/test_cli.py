@@ -228,6 +228,19 @@ def test_oversized_graph_header_is_one_error_line(argv, text, tmp_path, capsys):
     assert (r.stdout, r.stderr) == (b"", err.encode())
 
 
+@pytest.mark.parametrize("samples", [10**30, 2**62])
+def test_amoeba_beyond_numpy_largest_array_is_one_error_line(samples, capsys):
+    # numpy refuses the sample grid before it allocates anything
+    argv = ["amoeba", "--h", "1", "--samples", str(samples)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ERROR OutOfMemory: {samples} samples are too many to allocate\n"
+    r = run_cli(argv)
+    assert r.returncode == 1
+    assert (r.stdout, r.stderr) == (b"", err.encode())
+
+
 def test_newton_coefficient_beyond_float_is_one_error_line(tmp_path, capsys):
     path = tmp_path / "p.txt"
     path.write_text("n 1\n1e400 1\n1 0\n")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tropikit import (
     DegenerateInput,
     DomainError,
+    OutOfMemory,
     amoeba_line_sample,
     log_h,
     tropical_curve_2d,
@@ -210,6 +211,26 @@ def test_amoeba_input_validation():
         amoeba_line_sample(-1.0, 10)
     with pytest.raises(DomainError):
         amoeba_line_sample(1.0, 0)
+
+
+@pytest.mark.parametrize("samples", [10**30, 2**62])
+def test_amoeba_beyond_numpy_largest_array_is_out_of_memory(samples):
+    # numpy refuses these sizes before it allocates anything
+    with pytest.raises(OutOfMemory, match=f"^{samples} samples are too many to allocate$"):
+        amoeba_line_sample(1.0, samples)
+
+
+@pytest.mark.parametrize("z", [(math.nan,), (complex(math.inf, 0),), (1.0, complex(0, -math.inf)),
+                               ("x",), (10**400,), (None,)],
+                         ids=["nan", "inf-complex", "imaginary-inf", "text", "huge-int", "none"])
+def test_log_h_refuses_what_is_no_finite_complex_number(z):
+    with pytest.raises(DomainError):
+        log_h(z, 1.0)
+
+
+def test_log_h_zero_coordinate_keeps_its_message():
+    with pytest.raises(DomainError, match="^log image undefined at a zero coordinate$"):
+        log_h((1.0, 0j), 1.0)
 
 
 @pytest.mark.parametrize("h", [2, 1, 0.5, 0.25, 0.1, 1e-3])

@@ -1,23 +1,30 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from helpers import is_canonical_polytope_2d, point_in_polytope_2d, segment_1d
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropikit import (
     AmbiguousLimit,
     CancellationAtPoint,
+    CurvePiece,
+    DegenerateInput,
     DimensionMismatch,
     DomainError,
     GenPolynomial,
     Polytope,
+    TropicalCurve,
+    TropikitError,
     UnsupportedDimension,
     dequantize_limit,
     eval_dequantized,
+    log_h,
     newton_set,
+    tropical_curve_2d,
     poly_add,
     poly_mul,
     polytope_add,
@@ -88,6 +95,33 @@ def test_eval_dequantized_exact_cancellation_warns():
     with pytest.warns(CancellationAtPoint):
         v = eval_dequantized(f, (2.0, 2.0), 0.5)
     assert v == float("-inf")
+
+
+@pytest.mark.parametrize("x", [("1/2",), (10**400,), ("x",), (None,)],
+                         ids=["fraction-text", "huge-int", "text", "none"])
+def test_unreadable_points_are_a_domain_error(x):
+    f = GenPolynomial(1, ((1.0, (1,)),))
+    with pytest.raises(DomainError, match="^cannot read evaluation point"):
+        eval_dequantized(f, x, 1.0)
+    with pytest.raises(DomainError, match="^cannot read evaluation point"):
+        dequantize_limit(f, x)
+
+
+def test_overflowing_dot_products_are_a_domain_error():
+    # (10**300, -10**300) . (1e300, 1e300) is inf - inf in float64
+    f = GenPolynomial(2, ((1.0, (10**300, -10**300)), (1.0, (0, 0))))
+    with pytest.raises(DomainError):
+        dequantize_limit(f, (1e300, 1e300))
+    with pytest.raises(DomainError):
+        eval_dequantized(f, (1e300, 1e300), 1.0)
+    g = GenPolynomial(1, ((1.0, (10**400,)),))  # an exponent beyond float64
+    with pytest.raises(DomainError, match="overflows? float64"):
+        dequantize_limit(g, (0.0,))
+    with pytest.raises(DomainError, match="overflows? float64"):
+        eval_dequantized(g, (0.0,), 1.0)
+    # h*ln(1e308) at h = 1e308 is beyond float64
+    with pytest.raises(DomainError, match="overflows? float64"):
+        eval_dequantized(GenPolynomial(1, ((1e308, (0,)),)), (0.0,), 1e308)
 
 
 def test_eval_dequantized_input_checks():
@@ -344,6 +378,81 @@ def test_high_dimensional_unreduced_path():
     assert newton_set(poly_add(f, g)) == polytope_add(P, newton_set(g))
 
 
+def test_reduced_is_derived_from_the_dimension():
+    assert [Polytope(n, [(0,) * n]).reduced for n in (1, 2, 3, 4)] == [True, True, False, False]
+    with pytest.raises(TypeError):
+        Polytope(2, [(0, 0)], reduced=False)
+    with pytest.raises(AttributeError):
+        Polytope(3, [(0, 0, 0)]).reduced = True
+
+
 def test_polytope_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         polytope_add(Polytope(1, [(0,)]), Polytope(2, [(0, 0)]))
+
+
+# --- typed failures ---------------------------------------------------------------
+
+# every value the readers must refuse or survive: zeros, infinities, NaN, the
+# float64 extremes, an int beyond float64 and text that is no number
+_EDGE = st.sampled_from([0, 0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308,
+                         10**400, -(10**400), "x", "", "1/0", "nan", "1/2", None])
+_VALUE = _EDGE | st.integers(-3, 3) | st.floats(-4.0, 4.0)
+
+
+def _has_nan(r):
+    if isinstance(r, float):
+        return math.isnan(r)
+    if isinstance(r, Polytope):
+        return _has_nan(r.vertices)
+    if isinstance(r, TropicalCurve):
+        return _has_nan(r.pieces)
+    if isinstance(r, CurvePiece):
+        return _has_nan((r.base, r.direction, r.t0, r.t1))
+    if isinstance(r, (tuple, list)):
+        return any(_has_nan(v) for v in r)
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_dequant_returns_clean_results_or_typed_errors(n, data):
+    # each public reader either returns a result with no NaN or raises a
+    # TropikitError; no other exception and no warning but the two domain ones.
+    # log_h and the limit are finite where defined, eval_dequantized is finite
+    # or -inf (exact cancellation); each h-reader also runs at h = 1
+    def vec(k):
+        return st.lists(_VALUE, min_size=k, max_size=k).map(tuple)
+
+    terms = data.draw(st.lists(st.tuples(_VALUE, vec(n)), min_size=1, max_size=4))
+    curve = data.draw(st.lists(st.tuples(_VALUE, vec(2)), min_size=2, max_size=4))
+    x, h = data.draw(vec(n)), data.draw(_VALUE)
+    z = data.draw(st.lists(_VALUE, min_size=1, max_size=3))
+
+    def poly():
+        return GenPolynomial(n, tuple(terms))
+
+    def below_inf(v):
+        return v < math.inf
+
+    calls = [
+        (lambda: log_h(z, h), math.isfinite),
+        (lambda: log_h(z, 1.0), math.isfinite),
+        (lambda: eval_dequantized(poly(), x, h), below_inf),
+        (lambda: eval_dequantized(poly(), x, 1.0), below_inf),
+        (lambda: dequantize_limit(poly(), x), math.isfinite),
+        (lambda: newton_set(poly()), None),
+        (lambda: Polytope(n, [d for _, d in terms]), None),
+        (lambda: tropical_curve_2d(curve), None),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", CancellationAtPoint)
+        warnings.simplefilter("ignore", DegenerateInput)
+        for call, ok in calls:
+            try:
+                result = call()
+            except TropikitError:
+                continue
+            assert not _has_nan(result)
+            assert ok is None or all(map(ok, np.ravel(result).tolist()))

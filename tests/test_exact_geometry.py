@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import fraction_hull_2d, fraction_tropical_curve_2d
+from helpers import fraction_hull_2d, fraction_tropical_curve_2d, segment_1d
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropikit import (
     DegenerateInput,
@@ -154,6 +156,47 @@ def test_hull_of_degenerate_clouds():
     assert len(assert_same_hull([(0, 0), (4, 0), (0, 4), (4, 4), (2, 0), (2, 2), (0, 4)])) == 4
     big = 10**30
     assert_same_hull([(Fraction(big, 7), 0), (0, Fraction(big, 3)), (-big, -1), (1, 1)])
+
+
+# every coordinate form the readers take: ints, Fractions, "p/q" strings, floats
+_COORD = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 6)),
+    st.integers(-64, 64).map(lambda k: k / 8),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def point_sets(draw):
+    n = draw(st.integers(1, 4))
+    # one set in two on a 3 x 3 lattice, where collinear points are common
+    coord = draw(st.sampled_from([_COORD, st.integers(0, 2)]))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=9))
+    repeats = draw(st.lists(st.sampled_from(pts), max_size=4))
+    return n, draw(st.permutations(pts + repeats))
+
+
+def per_dimension_vertices(n, points):
+    """Polytope vertices as each dimension computed them on Fractions before
+    every dimension read its points into scaled integers."""
+    if n == 1:
+        return segment_1d(points)
+    fracs = [tuple(Fraction(c) for c in p) for p in points]
+    return tuple(fraction_hull_2d(fracs) if n == 2 else sorted(set(fracs)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(point_sets())
+def test_every_dimension_is_the_per_dimension_fraction_result(case):
+    n, points = case
+    P = Polytope(n, points)
+    want = per_dimension_vertices(n, points)
+    assert P.vertices == want
+    assert all(type(c) is Fraction for v in P.vertices for c in v)
+    assert P.reduced == (n <= 2)
+    assert repr(P) == f"Polytope({n}, {want!r}, reduced={n <= 2})"
 
 
 def test_newton_set_of_twenty_thousand_points_is_fast_and_bitwise_the_fraction_chain():
