@@ -36,14 +36,14 @@ from .errors import (
     OutOfMemory,
     UnsupportedDimension,
 )
-from .semiring import NEG_INF, POS_INF, _count, _no_overflow, _positive_finite
+from .semiring import NEG_INF, POS_INF, _count, _no_overflow, _positive_finite, _short
 
 
 def _frac_vec(v, n: int) -> Tuple[Fraction, ...]:
     try:
         t = tuple(c if type(c) is Fraction else Fraction(c) for c in v)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as e:
-        raise DomainError(f"cannot read {v!r} as a rational vector: {e}") from None
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"cannot read {_short(v)} as a rational vector") from None
     if len(t) != n:
         raise DimensionMismatch(f"expected a {n}-vector, got {len(t)} components")
     return t
@@ -53,11 +53,19 @@ def _finite_vec(v, kind, what: str) -> tuple:
     """v as a tuple of finite kind (float or complex) numbers, else DomainError."""
     try:
         t = tuple(kind(c) for c in v)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise DomainError(f"cannot read {what} {v!r}: {e}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"cannot read {what} {_short(v)}") from None
     if not all(map(cmath.isfinite, t)):
-        raise DomainError(f"{what} must be finite, got {t}")
+        raise DomainError(f"{what} must be finite, got {_short(t)}")
     return t
+
+
+def _items(x, what: str) -> list:
+    """list(x), or DomainError if x is not iterable."""
+    try:
+        return list(x)
+    except TypeError:
+        raise DomainError(f"{what} must be iterable, got {_short(x)}") from None
 
 
 def _scaled(points, n: int):
@@ -84,20 +92,23 @@ class GenPolynomial:
     terms: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatch("need at least one variable")
+        object.__setattr__(self, "n", _count(self.n, "n"))
         seen = set()
         norm = []
-        for c, d in self.terms:
+        for term in _items(self.terms, "terms"):
+            try:
+                c, d = term
+            except (TypeError, ValueError):
+                raise DomainError(f"a term is a (coefficient, exponents) pair, got {_short(term)}") from None
             try:
                 c = float(c)
             except (TypeError, ValueError, OverflowError):
-                raise DomainError(f"cannot read coefficient {c!r} as a real") from None
+                raise DomainError(f"cannot read coefficient {_short(c)} as a real") from None
             if c == 0.0 or not math.isfinite(c):
                 raise DomainError(f"coefficients must be nonzero finite reals, got {c!r}")
             dv = _frac_vec(d, self.n)
             if dv in seen:
-                raise DomainError(f"repeated exponent vector {dv}; combine terms first")
+                raise DomainError(f"repeated exponent vector {_short(dv)}; combine terms first")
             seen.add(dv)
             norm.append((c, dv))
         if not norm:
@@ -171,7 +182,8 @@ def eval_dequantized(f: GenPolynomial, x: Sequence[float], h: float) -> float:
     m = float(s.max())
     if not math.isfinite(m):
         raise DomainError(f"scaled exponents at {xs} overflow float64 for h = {h!r}")
-    inner = float(np.sum(signs * np.exp(s - m)))
+    with np.errstate(over="ignore"):  # s_i - M below -1.8e308 is -inf; its exp is 0
+        inner = float(np.sum(signs * np.exp(s - m)))
     if inner == 0.0:
         warnings.warn(
             f"terms cancel exactly at {xs}; the dequantized value is -inf there",
@@ -253,9 +265,8 @@ class Polytope:
     vertices: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatch("need at least one dimension")
-        pts = list(self.vertices)
+        object.__setattr__(self, "n", _count(self.n, "n"))
+        pts = _items(self.vertices, "points")
         if not pts:
             raise DomainError("polytope needs at least one point")
         L, pts = _scaled(pts, self.n)

@@ -35,7 +35,7 @@ class SemiringMatrix:
         arr = np.array(data, dtype=float, order="C")
         if arr.ndim != 2:
             raise ShapeMismatch(f"matrix must be 2-D, got shape {arr.shape}")
-        arr = arr + 0.0
+        np.add(arr, 0.0, out=arr)  # -0.0 to +0.0, on the one copy
         if not bool(np.all(spec.contains(arr))):
             raise DomainError(f"matrix has entries outside the carrier of {spec.name}")
         arr.setflags(write=False)
@@ -139,6 +139,10 @@ def kleene_star(A: SemiringMatrix) -> SemiringMatrix:
     spec, one = A.spec, A.spec.one
     S = A.data.copy()
     np.fill_diagonal(S, spec.add(np.diag(S), one))
+    # one buffer for every pivot's products, and the update written over S:
+    # the products are all formed before S changes
+    P = np.empty_like(S) if _ufuncs(spec) else None
+    into_P, into_S = ({"out": P}, {"out": S}) if P is not None else ({}, {})
     with _no_overflow("kleene_star: a path weight"):
         for k in range(A.rows):
             d = S[k, k]
@@ -147,18 +151,26 @@ def kleene_star(A: SemiringMatrix) -> SemiringMatrix:
                     f"the star diverges: a cycle through node {k} has weight "
                     f"{float(d)!r}, better than one ({one!r})"
                 )
+            col, row = S[:, k, None], S[None, k, :]
             try:
-                S = spec.add(S, spec.mul(S[:, k, None], S[None, k, :]))
+                P = spec.mul(col, row, **into_P)
             except FloatingPointError:
-                col, row = S[:, k, None], S[None, k, :]
                 with np.errstate(over="ignore"):
-                    P = spec.mul(col, row)
+                    P = spec.mul(col, row, **into_P)
                 over = np.isinf(P) & np.isfinite(col) & np.isfinite(row)
                 np.fill_diagonal(over, False)
                 if over.any():
                     raise
-                S = spec.add(S, P)
+            S = spec.add(S, P, **into_S)
+    del P, into_P  # free the buffer before the result's copy
     return SemiringMatrix(S, spec)
+
+
+def _ufuncs(spec: SemiringSpec) -> bool:
+    """Whether both operations of spec are numpy ufuncs, which write into a
+    given array, as those of the built-in specs are; a deformed or custom
+    spec keeps the calls that allocate their results."""
+    return isinstance(spec.add, np.ufunc) and isinstance(spec.mul, np.ufunc)
 
 
 def _negative_cycle(W: np.ndarray) -> tuple:

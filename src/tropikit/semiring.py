@@ -19,6 +19,7 @@ plain float64; -0.0 is normalized to +0.0 so equality can be bitwise.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -32,18 +33,34 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
+_REPR = reprlib.Repr()
+_REPR.maxlevel, _REPR.maxstring, _REPR.maxother = 2, 40, 40
+_SHORT = 80
+
+
+def _short(x) -> str:
+    """repr(x) for an error message, at most _SHORT characters: reprlib cuts
+    each long part, and the whole is cut after it.  An int too long for
+    repr (past sys.get_int_max_str_digits) is named by its type."""
+    try:
+        r = _REPR.repr(x)
+    except ValueError:
+        r = f"<{type(x).__name__} too long to print>"
+    return r if len(r) <= _SHORT else r[:_SHORT - 3] + "..."
+
+
 def _positive_finite(x, what: str) -> float:
     # an exact comparison: float(x) would overflow for an int beyond float64
     if isinstance(x, (int, float)) and 0 < x <= sys.float_info.max:
         return float(x)
-    raise DomainError(f"{what} must be a positive finite real, got {x!r}")
+    raise DomainError(f"{what} must be a positive finite real, got {_short(x)}")
 
 
 def _count(x, what: str, least: int = 1) -> int:
-    if isinstance(x, (int, np.integer)) or (isinstance(x, float) and x.is_integer()):
-        if x >= least:
-            return int(x)
-    raise DomainError(f"{what} must be an integer >= {least}, got {x!r}")
+    whole = isinstance(x, (int, np.integer)) or (isinstance(x, float) and x.is_integer())
+    if whole and not isinstance(x, bool) and x >= least:
+        return int(x)
+    raise DomainError(f"{what} must be an integer >= {least}, got {_short(x)}")
 
 
 def deformed_add(u, v, h):

@@ -17,6 +17,7 @@ from tropikit import (
     CurvePiece,
     DegenerateInput,
     DomainError,
+    FileFormatError,
     GridMismatch,
     IntervalMatrix,
     IntervalValue,
@@ -28,6 +29,7 @@ from tropikit import (
     log_h,
 )
 from tropikit.cli import _float_list, _positive_float, _semiring
+from tropikit.fileio import _data_lines, _fields_fault, _no_nan, _read
 from tropikit.linalg import _check_system
 from tropikit.semiring import _no_overflow, _positive_finite, _require_idempotent
 from tropikit.transform import _same_convention
@@ -224,6 +226,22 @@ def per_entry_parse_interval_matrix(text, spec):
             iv = IntervalValue.from_numeric(lo_rows[i][j], hi_rows[i][j], spec)
             lo[i, j], hi[i, j] = iv.lower, iv.upper
     return IntervalMatrix.from_arrays(lo, hi, spec)
+
+
+def loadtxt_float_rows(text: str, what: str) -> np.ndarray:
+    """tropikit.fileio._float_rows as it was before dense rows were read by
+    np.fromstring: every file through one np.loadtxt call."""
+    lns, lines = _data_lines(text)
+    if not lines:
+        raise FileFormatError(f"{what} file has no rows")
+    width = len(lines[0].split())
+
+    def fault(line):
+        toks = line.split()
+        return _fields_fault(toks, [float] * len(toks)) or (
+            len(toks) != width and f"ragged row ({len(toks)} of {width} entries)")
+
+    return _read(lns, lines, np.dtype(float), fault, _no_nan)
 
 
 def per_edge_accumulate(n, src, dst, w, spec):

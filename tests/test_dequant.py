@@ -20,6 +20,7 @@ from tropikit import (
     TropicalCurve,
     TropikitError,
     UnsupportedDimension,
+    amoeba_line_sample,
     dequantize_limit,
     eval_dequantized,
     log_h,
@@ -107,6 +108,56 @@ def test_unreadable_points_are_a_domain_error(x):
         dequantize_limit(f, x)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: log_h((10**400,), 1.0),
+    lambda: log_h((10**5000,), 1.0),  # past the digits repr will print
+    lambda: log_h((math.inf,) * 100, 1.0),
+    lambda: GenPolynomial(1, ((Fraction(10**400), (1,)),)),
+    lambda: GenPolynomial(1, ((1.0, (1,)), (2.0, (Fraction(1, 3**300),)), (3.0, (Fraction(1, 3**300),)))),
+    lambda: Polytope(1, [("x" * 1000,)]),
+    lambda: Polytope(2, 10**400),
+    lambda: eval_dequantized(GenPolynomial(1, ((1.0, (1,)),)), ("x" * 5000,), 1.0),
+    lambda: amoeba_line_sample(10**5000, 10),
+    lambda: amoeba_line_sample(1.0, -(10**400)),
+], ids=["log-huge-int", "log-unprintable-int", "log-long-point", "coefficient",
+        "repeated-exponent", "polytope-point", "polytope-points", "eval-point", "h", "samples"])
+def test_long_values_are_cut_in_error_messages(call):
+    with pytest.raises(DomainError) as e:
+        call()
+    assert len(str(e.value)) <= 120 and ("..." in str(e.value) or "too long" in str(e.value))
+
+
+@pytest.mark.parametrize("call,want", [
+    (lambda: Polytope("2", [(0, 0)]), "n must be an integer >= 1, got '2'"),
+    (lambda: Polytope(True, [(0,)]), "n must be an integer >= 1, got True"),
+    (lambda: Polytope(1.5, [(0,)]), "n must be an integer >= 1, got 1.5"),
+    (lambda: Polytope(0, [(0,)]), "n must be an integer >= 1, got 0"),
+    (lambda: Polytope(2, None), "points must be iterable, got None"),
+    (lambda: Polytope(2, 7), "points must be iterable, got 7"),
+    (lambda: GenPolynomial("1", ((1.0, (1,)),)), "n must be an integer >= 1, got '1'"),
+    (lambda: GenPolynomial(False, ((1.0, (1,)),)), "n must be an integer >= 1, got False"),
+    (lambda: GenPolynomial(1, None), "terms must be iterable, got None"),
+    (lambda: GenPolynomial(1, (1.0,)), "a term is a (coefficient, exponents) pair, got 1.0"),
+    (lambda: GenPolynomial(1, ((1.0, (1,), 2),)),
+     "a term is a (coefficient, exponents) pair, got (1.0, (1,), 2)"),
+], ids=["polytope-n-text", "polytope-n-bool", "polytope-n-fraction", "polytope-n-zero",
+        "points-none", "points-int", "poly-n-text", "poly-n-bool", "terms-none", "term-float",
+        "term-triple"])
+def test_dimensions_and_lists_are_typed(call, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as e:
+            call()
+    assert str(e.value) == want
+
+
+def test_integral_dimensions_are_read_as_int():
+    for n in (2, 2.0, np.int64(2)):
+        P = Polytope(n, [(0, 0), (1, 0)])
+        assert type(P.n) is int and repr(P).startswith("Polytope(2, ")
+        assert type(GenPolynomial(n, ((1.0, (1, 0)),)).n) is int
+
+
 def test_overflowing_dot_products_are_a_domain_error():
     # (10**300, -10**300) . (1e300, 1e300) is inf - inf in float64
     f = GenPolynomial(2, ((1.0, (10**300, -10**300)), (1.0, (0, 0))))
@@ -122,6 +173,14 @@ def test_overflowing_dot_products_are_a_domain_error():
     # h*ln(1e308) at h = 1e308 is beyond float64
     with pytest.raises(DomainError, match="overflows? float64"):
         eval_dequantized(GenPolynomial(1, ((1e308, (0,)),)), (0.0,), 1e308)
+
+
+def test_terms_far_below_the_maximum_vanish_without_warning():
+    # s = (5e307, -1.5e308): s_2 - M is below -float max, so its term is 0
+    f = GenPolynomial(2, ((1.0, (Fraction(1, 2), 0)), (1.0, (Fraction(-3, 2), 0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_dequantized(f, (1e308, 0), 1.0) == 5e307
 
 
 def test_eval_dequantized_input_checks():
@@ -394,9 +453,10 @@ def test_polytope_dimension_mismatch():
 # --- typed failures ---------------------------------------------------------------
 
 # every value the readers must refuse or survive: zeros, infinities, NaN, the
-# float64 extremes, an int beyond float64 and text that is no number
+# float64 extremes, ints beyond float64 and beyond repr, and text that is no number
 _EDGE = st.sampled_from([0, 0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308,
-                         10**400, -(10**400), "x", "", "1/0", "nan", "1/2", None])
+                         10**400, -(10**400), 10**5000, "x", "x" * 500, "", "1/0", "nan",
+                         "1/2", None])
 _VALUE = _EDGE | st.integers(-3, 3) | st.floats(-4.0, 4.0)
 
 
@@ -452,7 +512,8 @@ def test_dequant_returns_clean_results_or_typed_errors(n, data):
         for call, ok in calls:
             try:
                 result = call()
-            except TropikitError:
+            except TropikitError as e:
+                assert len(str(e)) <= 200  # long values are cut
                 continue
             assert not _has_nan(result)
             assert ok is None or all(map(ok, np.ravel(result).tolist()))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import (
+    loadtxt_float_rows,
     per_entry_parse_interval_matrix,
     per_token_edges,
     per_token_float_rows,
@@ -16,12 +17,14 @@ from hypothesis import strategies as st
 from tropikit import (
     DomainError,
     FileFormatError,
+    Graph,
     IntervalMatrix,
     MAXMIN,
     MAXPLUS,
     MINPLUS,
     SampledFunction,
     SemiringMatrix,
+    TropicalCurve,
     TropikitError,
     adjacency_matrix,
     get_semiring,
@@ -29,8 +32,10 @@ from tropikit import (
     tropical_curve_2d,
 )
 from tropikit.fileio import (
+    _data_lines,
     _float_rows,
     _token_fault,
+    _tokenized,
     fmt_float,
     fmt_frac,
     format_curve,
@@ -312,6 +317,170 @@ def test_float_rows_is_bitwise_the_per_token_reader(data):
         return _same_fault(text, e.args[0], _float_rows, "matrix")
     got = _float_rows(text, "matrix")
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# --- the line tokenizer against the single np.loadtxt call -----------------------
+
+_SPELLINGS = (
+    "inf", "-inf", "+inf", "Inf", "-INF", "Infinity", "-infinity", "iNfInItY",
+    "nan", "-nan", "NaN", "nan(1)", "1e400", "-1e400", "1.5e-400", "4.9e-324", "-0",
+    "1_0", "0x10", "0x1p3", "1d5", "\uff11", "\uff12.5", "\u0661", "1e", "x", "#", "1,2", "--1",
+    "infinf", "1-2",
+)
+_grammar_tokens = st.one_of(
+    st.builds("".join, st.tuples(
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["0", "7", "12", "007", "1.5", ".5", "5.", "3.25"]),
+        st.sampled_from(["", "e3", "E-2", "e+10", "e308", "e400", "e-400"]))),
+    st.sampled_from(_SPELLINGS),
+    st.floats(allow_nan=False).map(repr),
+)
+
+
+@st.composite
+def _token_row(draw, width):
+    """width tokens: all drawn from the grammar if narrow, else a row of one
+    infinity with a few drawn ones; maybe one token more, one less, or only
+    the first (which numpy would broadcast over a row)."""
+    if width <= 3:
+        toks = draw(st.lists(_grammar_tokens, min_size=width, max_size=width))
+    else:
+        toks = [draw(st.sampled_from(["inf", "-inf"]))] * width
+        for j, tok in draw(st.lists(st.tuples(st.integers(0, width - 1), _grammar_tokens), max_size=4)):
+            toks[j] = tok
+    ragged = draw(st.sampled_from([0, 0, 0, 1, -1, 1 - width]))
+    toks = toks + [draw(_grammar_tokens)] if ragged > 0 else toks[:len(toks) + ragged] or toks
+    lead, tail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", "  ", "\t"]))
+    return lead + draw(st.sampled_from([" ", "\t", "  ", " \t  "])).join(toks) + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_float_rows_is_the_single_loadtxt_reader(data):
+    # same dtype, shape and bytes, or the same message, as the one np.loadtxt
+    # call; and the line tokenizer alone reads a file only as that call does
+    width = data.draw(st.sampled_from([1, 2, 3, 49, 64]))
+    out = []
+    for row in data.draw(st.lists(_token_row(width), min_size=1, max_size=4)):
+        out += data.draw(_filler) + [row]
+    text = "\n".join(out + data.draw(_filler)) + "\n"
+    lines = _data_lines(text)[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = _tokenized(lines, len(lines[0].split())) if lines else None
+        try:
+            want = loadtxt_float_rows(text, "matrix")
+        except FileFormatError as e:
+            event("malformed")
+            with pytest.raises(FileFormatError) as got:
+                _float_rows(text, "matrix")
+            assert str(got.value) == str(e)
+            assert fast is None
+            return
+        got = _float_rows(text, "matrix")
+    event("tokenized" if fast is not None else "not tokenized")
+    for arr in (got, fast if fast is not None else got):
+        assert (arr.dtype, arr.shape, arr.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_wide_rows_of_infinities_are_read_without_loadtxt(monkeypatch):
+    def loadtxt(*args, **kw):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    row = ["inf"] * 48 + ["-inf"] * 12 + ["1", "2.5", "-3", "1e3"]
+    got = _float_rows("# sparse\n" + "\n".join("\t".join(row) for _ in range(3)) + "\n", "matrix")
+    assert got.shape == (3, 64) and got[0, -1] == 1e3
+    # narrow rows, rows of mostly numbers, a row the tokenizer does not read,
+    # and a row of one entry, which numpy would broadcast over the row
+    for text in ("inf inf\ninf 1\n", " ".join(["1"] * 64) + "\n",
+                 " ".join(row) + "\n" + " ".join(row[:-1] + ["x"]) + "\n",
+                 " ".join(row) + "\ninf\n"):
+        with pytest.raises(AssertionError, match="np.loadtxt called"):
+            _float_rows(text, "matrix")
+
+
+# --- every reader: a NaN-free result or a typed failure ------------------------
+
+_HEADS = (
+    "n 3", "n 0", "n -1", "n 2.5", "n 1e3", "n x", "n",
+    "start 0 step 1 convention maxplus", "start -1.5 step 0.25 convention minplus",
+    "start 1e400 step 1 convention maxplus", "start 0 step 0 convention maxplus",
+    "start nan step 1 convention minplus", "start 0 step -1e308 convention maxplus",
+    "x,y", "base_x,base_y,dir_x,dir_y,t0,t1",
+)
+_NUMBERS = ("0", "1", "-3", "2.5", "inf", "-inf", "1e3", "1e400")
+_RATIONALS = ("0", "1", "2", "1/2", "-3")
+# per reader: its header (None: it has none), field separator, fields a
+# line, and the tokens of a well-formed field
+_LAYOUTS = {
+    "matrix": (None, " ", 3, _NUMBERS),
+    "interval-matrix": (None, " ", 4, _NUMBERS),
+    "function": ("start 0 step 1 convention minplus", " ", 1, _NUMBERS),
+    "graph": ("n 3", " ", 3, ("0", "1", "2")),
+    "interval-graph": ("n 3", " ", 4, ("0", "1", "2")),
+    "poly": ("n 2", " ", 3, _RATIONALS),
+    "points": ("x,y", ",", 2, _NUMBERS),
+    "curve": ("base_x,base_y,dir_x,dir_y,t0,t1", ",", 6, _RATIONALS + ("inf",)),
+}
+_ODD_FIELDS = _grammar_tokens | st.sampled_from(["3/0", "", "1/2/3", "1e400", "-1e400"])
+
+
+def _nan_free(x) -> bool:
+    """No NaN anywhere in a reader's result."""
+    if isinstance(x, SemiringMatrix):
+        return _nan_free(x.data)
+    if isinstance(x, IntervalMatrix):
+        return _nan_free(x.numeric_bounds())
+    if isinstance(x, SampledFunction):
+        return _nan_free((x.start, x.step, x.values))
+    if isinstance(x, Graph):
+        return _nan_free(x.w)
+    if isinstance(x, TropicalCurve):
+        return _nan_free([(p.base, p.direction, p.t0, p.t1) for p in x.pieces])
+    if isinstance(x, np.ndarray):
+        fields = [x[f] for f in x.dtype.names] if x.dtype.names else [x]
+        return not any(f.dtype.kind == "f" and np.isnan(f).any() for f in fields)
+    if isinstance(x, (tuple, list)):
+        return all(map(_nan_free, x))
+    return x == x
+
+
+_READERS = {
+    "matrix": lambda t: parse_matrix(t, MINPLUS),
+    "interval-matrix": lambda t: parse_interval_matrix(t, MAXMIN),
+    "function": parse_function,
+    "graph": parse_graph,
+    "interval-graph": parse_interval_graph,
+    "poly": parse_poly,
+    "points": parse_points,
+    "curve": parse_curve,
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_readers_return_nan_free_results_or_typed_errors(reader, data):
+    # mostly the reader's own layout, with fields of its width or one off,
+    # some of them bad; or a wide row of infinities for the line tokenizer
+    head, sep, width, plain = _LAYOUTS[reader]
+    good = st.lists(st.sampled_from(plain), min_size=width, max_size=width)
+    fields = st.integers(max(1, width - 1), width + 1).flatmap(
+        lambda k: st.lists(st.sampled_from(plain) | _ODD_FIELDS, min_size=k, max_size=k))
+    line = st.one_of(good.map(sep.join), good.map(sep.join), good.map(sep.join),
+                     fields.map(sep.join), _token_row(64), st.sampled_from(["", "# c"]))
+    heads = [] if head is None else [data.draw(st.sampled_from([head, head, *_HEADS]))]
+    text = "\n".join(heads + data.draw(st.lists(line, max_size=6))) + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = _READERS[reader](text)
+        except TropikitError as e:
+            event(type(e).__name__)
+            return
+    event("read")
+    assert _nan_free(got)
 
 
 @settings(max_examples=200, deadline=None)

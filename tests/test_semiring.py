@@ -237,10 +237,10 @@ COUNTS = [
 COUNT_IDS = ["trials", "seed", "samples", "xi_count", "jacobi", "gauss-seidel", "interval"]
 
 
-@pytest.mark.parametrize("bad", ["below", 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("bad", ["below", 2.5, math.nan, math.inf, True])
 @pytest.mark.parametrize("what,least,call", COUNTS, ids=COUNT_IDS)
 def test_counts_are_integers_from_their_least(what, least, call, bad):
-    # one rule: an int, a numpy integer or an integral float >= least
+    # one rule: an int (not a bool), a numpy integer or an integral float >= least
     bad = least - 1 if bad == "below" else bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
