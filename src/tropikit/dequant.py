@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,9 +40,25 @@ from .errors import (
 from .semiring import NEG_INF, POS_INF, _count, _no_overflow, _positive_finite, _short
 
 
+# Fraction reads a decimal exponent e by forming 10**e exactly, which takes
+# seconds for e in the millions; an exponent of more than Python's default
+# limit on the digits of an int read from a string is refused first.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*$", re.IGNORECASE)
+
+
+def _fraction(x) -> Fraction:
+    """Fraction(x); ValueError for a string with an exponent beyond
+    _MAX_EXPONENT in size."""
+    e = _EXPONENT.search(x) if isinstance(x, str) else None
+    if e and abs(int(e[1])) > _MAX_EXPONENT:
+        raise ValueError(f"exponent beyond {_MAX_EXPONENT} in {x!r}")
+    return Fraction(x)
+
+
 def _frac_vec(v, n: int) -> Tuple[Fraction, ...]:
     try:
-        t = tuple(c if type(c) is Fraction else Fraction(c) for c in v)
+        t = tuple(c if type(c) is Fraction else _fraction(c) for c in v)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise DomainError(f"cannot read {_short(v)} as a rational vector") from None
     if len(t) != n:
@@ -66,6 +83,19 @@ def _items(x, what: str) -> list:
         return list(x)
     except TypeError:
         raise DomainError(f"{what} must be iterable, got {_short(x)}") from None
+
+
+def _terms(x) -> list:
+    """The (coefficient, exponents) pairs of the terms x, as a list of
+    2-tuples; DomainError if x is not iterable or a term is not a pair."""
+    pairs = []
+    for term in _items(x, "terms"):
+        try:
+            c, d = term
+        except (TypeError, ValueError):
+            raise DomainError(f"a term is a (coefficient, exponents) pair, got {_short(term)}") from None
+        pairs.append((c, d))
+    return pairs
 
 
 def _scaled(points, n: int):
@@ -95,11 +125,7 @@ class GenPolynomial:
         object.__setattr__(self, "n", _count(self.n, "n"))
         seen = set()
         norm = []
-        for term in _items(self.terms, "terms"):
-            try:
-                c, d = term
-            except (TypeError, ValueError):
-                raise DomainError(f"a term is a (coefficient, exponents) pair, got {_short(term)}") from None
+        for c, d in _terms(self.terms):
             try:
                 c = float(c)
             except (TypeError, ValueError, OverflowError):
@@ -400,7 +426,7 @@ def tropical_curve_2d(terms) -> TropicalCurve:
     max_i ((D_i, y) + C_i) maps onto that of p by x = (M/L) y.  Parameter
     bounds are integer pairs; only the pieces kept become Fractions.
     """
-    terms = list(terms)
+    terms = _terms(terms)
     if len(terms) < 2:
         raise DomainError("a tropical curve needs at least two terms")
     M, exps = _scaled([d for _, d in terms], 2)

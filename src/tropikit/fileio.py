@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dequant import CurvePiece, TropicalCurve
+from .dequant import CurvePiece, TropicalCurve, _fraction
 from .errors import FileFormatError
 from .interval import IntervalMatrix
 from .linalg import Graph, SemiringMatrix
@@ -70,7 +70,7 @@ def fmt_frac(q) -> str:
 
 def parse_frac(tok: str) -> Fraction:
     try:
-        return Fraction(tok)
+        return _fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise FileFormatError(f"not a rational: {tok!r}") from None
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NonConvergent, ShapeMismatch
-from .semiring import MINPLUS, SemiringSpec, _require_idempotent, _same_spec, add, leq, mul
+from .semiring import MINPLUS, SemiringSpec, _count, _require_idempotent, _same_spec, add, leq, mul
 
 
 class IntervalValue:
@@ -159,6 +159,7 @@ def interval_adjacency(n: int, edges, spec: SemiringSpec = MINPLUS) -> IntervalM
     once; parallel edges combine by interval (+); absent arcs are the
     degenerate zero interval.
     """
+    n = _count(n, "n")
     src, dst, a, b = linalg._edge_columns(edges, 4)
     src, dst = linalg._node_ids(n, src, dst)
     w = IntervalMatrix.from_numeric(a[:, None], b[:, None], spec)

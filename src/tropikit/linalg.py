@@ -211,41 +211,16 @@ def _negative_cycle(W: np.ndarray) -> tuple:
     return tuple(cycle[i:] + cycle[:i])
 
 
-def _check_system(H: SemiringMatrix, F: SemiringMatrix) -> int:
-    _same_spec(H, F)
-    if H.rows != H.cols:
-        raise ShapeMismatch(f"H must be square, got {H.shape}")
-    if F.rows != H.rows:
-        raise ShapeMismatch(f"F has {F.rows} rows for an {H.rows}-node system")
-    return H.rows
-
-
-def solve_bellman_jacobi(H, F, max_iter=None, full_output=False):
-    """Least solution of X = H (x) X (+) F by simultaneous updates from X0 = F.
-
-    Returns X, or (X, info) with info["iterations"] counting update passes
-    including the one that detects stabilization.  DomainError on overflow."""
-    _require_idempotent(H.spec, "solve_bellman_jacobi")
-    n = _check_system(H, F)
-    budget = n + 1 if max_iter is None else _count(max_iter, "max_iter")
-    X = F
-    for it in range(1, budget + 1):
-        nxt = matrix_add(matrix_mul(H, X), F)
-        if nxt == X:
-            return (X, {"iterations": it}) if full_output else X
-        X = nxt
-    raise NonConvergent(f"no fixpoint after {budget} iterations")
-
-
-def _split_rows(H: SemiringMatrix) -> tuple:
-    """The entries of H that are not the zero, split into the strictly lower
-    part L and the rest U (diagonal included), each as a padded row layout
-    (weights, columns): row i holds its entries in column order, padded to
-    the widest row of its part (at least one) with the zero at column 0."""
+def _split_rows(H: SemiringMatrix, lower: bool) -> tuple:
+    """The entries of H that are not the zero as two padded row layouts
+    (weights, columns), L and U: row i holds its entries in column order,
+    padded to the widest row of its part (at least one) with the zero at
+    column 0.  L is the strictly lower part of H if lower, else empty."""
     spec, n = H.spec, H.rows
     r, c = np.divmod(np.flatnonzero(H.data != spec.zero), n)  # row-major
+    end = r if lower else 0  # row i of L ends before column end
     parts = []
-    for keep in (c < r, c >= r):
+    for keep in (c < end, c >= end):
         ri, ci = r[keep], c[keep]
         counts = np.bincount(ri, minlength=n)
         pos = np.arange(ri.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -286,43 +261,63 @@ def _lower_solve(spec: SemiringSpec, W, C, Y, b, cap: int) -> np.ndarray:
     return Y
 
 
+def _sweeps(name: str, H, F, max_iter, full_output: bool, lower: bool):
+    """The solve of X = H (x) X (+) F from X0 = F that the solver name runs.
+
+    H is split once into L and U (see _split_rows).  A pass forms
+    b = U (x) X (+) F from the previous X over the padded rows of U, then
+    takes the one fixpoint of Y = L (x) Y (+) b (see _lower_solve), which is
+    b when L is empty.  The entries left out are the zero: zero (x) x is
+    the zero, which (+) ignores, and an infinite operand never raises
+    numpy's overflow flag, so values and errors are those of the products
+    over all of H.  A pass that changes nothing ends the solve, and
+    info["iterations"] counts the passes, that one included.  DomainError
+    if a product of finite entries overflows float64."""
+    _require_idempotent(H.spec, name)
+    _same_spec(H, F)
+    if H.rows != H.cols:
+        raise ShapeMismatch(f"H must be square, got {H.shape}")
+    if F.rows != H.rows:
+        raise ShapeMismatch(f"F has {F.rows} rows for an {H.rows}-node system")
+    spec, f, n = H.spec, F.data, H.rows
+    budget = n + 1 if max_iter is None else _count(max_iter, "max_iter")
+    (WL, CL), (WU, CU) = _split_rows(H, lower)
+    X = f
+    with _no_overflow(f"{name}: a path weight"):
+        for it in range(1, budget + 1):
+            b = spec.add(_row_products(spec, WU, lambda s: X[CU[s]], np.empty_like(f)), f)
+            Y = _lower_solve(spec, WL, CL, spec.add(X, b), b, n * n * F.cols) if lower else b
+            if np.array_equal(Y, X):
+                out = SemiringMatrix(X, spec)
+                return (out, {"iterations": it}) if full_output else out
+            X = Y
+    raise NonConvergent(f"no fixpoint after {budget} {'sweeps' if lower else 'iterations'}")
+
+
+def solve_bellman_jacobi(H, F, max_iter=None, full_output=False):
+    """Least solution of X = H (x) X (+) F by simultaneous updates from X0 = F:
+    each pass is X <- H (x) X (+) F, over the entries of H that are not the
+    zero (see _sweeps, here with L empty).
+
+    Returns X, or (X, info) with info["iterations"] counting update passes
+    including the one that detects stabilization.  DomainError on overflow."""
+    return _sweeps("solve_bellman_jacobi", H, F, max_iter, full_output, lower=False)
+
+
 def solve_bellman_gauss_seidel(H, F, max_iter=None, full_output=False):
     """Least solution of X = H (x) X (+) F by in-place sweeps.
 
     Sweep s is the Gauss-Seidel sweep that updates the rows in ascending
-    order, each seeing the freshest values, done as whole-array products
-    over the entries of H that are not the zero.  H is split once into its
-    strictly lower part L and the rest U, diagonal included.  The sweep
-    forms b = U (x) X (+) F from the previous X, then solves the triangular
-    system Y = L (x) Y (+) b by rounds (see _lower_solve).  L is strictly
-    lower, so that system has exactly one fixpoint, and row by row it is
-    the value the row loop gave; (+) is associative and commutative, so the
-    bits are the same too.  The rounds start from Y = X (+) b: the sweeps
-    only rise in the standard order, so that start lies between b and the
-    fixpoint and needs no more rounds than b.  A round that would form more
-    pairs than a row-by-row sweep (n * n * k), or that overflows, is
-    dropped and the sweep finished row by row.  The U product and that row
-    loop form exactly the pairs the row loop formed, and the rounds kept
-    raised nothing, so the errors are its errors as well.
-
-    A sweep that changes nothing ends the solve; info["iterations"] counts
-    sweeps including that final verification sweep.  DomainError if a
-    product of finite entries overflows float64."""
-    _require_idempotent(H.spec, "solve_bellman_gauss_seidel")
-    n = _check_system(H, F)
-    spec, f = H.spec, F.data
-    budget = n + 1 if max_iter is None else _count(max_iter, "max_iter")
-    (WL, CL), (WU, CU) = _split_rows(H)
-    X = f
-    with _no_overflow("solve_bellman_gauss_seidel: a path weight"):
-        for sweep in range(1, budget + 1):
-            b = spec.add(_row_products(spec, WU, lambda s: X[CU[s]], np.empty_like(f)), f)
-            Y = _lower_solve(spec, WL, CL, spec.add(X, b), b, n * n * F.cols)
-            if np.array_equal(Y, X):
-                out = SemiringMatrix(X, spec)
-                return (out, {"iterations": sweep}) if full_output else out
-            X = Y
-    raise NonConvergent(f"no fixpoint after {budget} sweeps")
+    order, each seeing the freshest values: a pass of _sweeps with L the
+    strictly lower part of H.  Y = L (x) Y (+) b then has one fixpoint, and
+    row by row it is the value the row loop gave, to the bit, as (+) is
+    associative and commutative.  The rounds start from Y = X (+) b, which
+    lies between b and the fixpoint, as the sweeps only rise.  A round that
+    would form more pairs than a row-by-row sweep (n * n * k), or that
+    overflows, is dropped and the sweep finished row by row, so the pairs
+    formed, and the errors, are the row loop's.  info["iterations"] counts
+    sweeps, the final unchanged one included."""
+    return _sweeps("solve_bellman_gauss_seidel", H, F, max_iter, full_output, lower=True)
 
 
 def _edge_columns(edges, k: int) -> list:
@@ -360,8 +355,7 @@ class Graph:
     __slots__ = ("n", "src", "dst", "w")
 
     def __init__(self, n: int, edges=()):
-        if n < 1:
-            raise DomainError("graph needs at least one node")
+        n = _count(n, "n")
         src, dst, w = _edge_columns(edges, 3)
         src, dst = _node_ids(n, src, dst)
         w = np.array(w, dtype=float)

@@ -51,9 +51,20 @@ def _short(x) -> str:
 
 def _positive_finite(x, what: str) -> float:
     # an exact comparison: float(x) would overflow for an int beyond float64
-    if isinstance(x, (int, float)) and 0 < x <= sys.float_info.max:
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x <= sys.float_info.max:
         return float(x)
     raise DomainError(f"{what} must be a positive finite real, got {_short(x)}")
+
+
+def _real(x, what: str) -> float:
+    """float(x), or DomainError for a bool, as _count refuses one, and for
+    a value float cannot read."""
+    if not isinstance(x, (bool, np.bool_)):
+        try:
+            return float(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError(f"cannot read {what} {_short(x)} as a real")
 
 
 def _count(x, what: str, least: int = 1) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatch
 from .linalg import _BLOCK
-from .semiring import MAXPLUS, MINPLUS, SemiringSpec, _count, _no_overflow, _positive_finite
+from .semiring import MAXPLUS, MINPLUS, SemiringSpec, _count, _no_overflow, _positive_finite, _real
 
 # The idempotent semiring each convention integrates in.
 _SPECS = {"maxplus": MAXPLUS, "minplus": MINPLUS}
@@ -29,7 +29,7 @@ _SPECS = {"maxplus": MAXPLUS, "minplus": MINPLUS}
 
 def _check_grid(start, step, count: int):
     """(start, step) as floats, if all count >= 1 points of the grid are finite."""
-    start, step = float(start), float(step)
+    start, step = _real(start, "grid start"), _real(step, "grid step")
     # the last point is finite only if start and step are (inf * 0 is NaN)
     if not (step > 0 and math.isfinite(start + step * (count - 1))):
         raise DomainError(f"bad grid: start={start!r} step={step!r} count={count}")
@@ -122,7 +122,7 @@ def pointwise_add(phi: SampledFunction, psi: SampledFunction) -> SampledFunction
 def scalar_mul(c: float, phi: SampledFunction) -> SampledFunction:
     """(x) by a scalar: shift the whole function by c.  DomainError if
     some finite phi(x) + c overflows float64."""
-    c = float(c)
+    c = _real(c, "scalar")
     if not math.isfinite(c):
         raise DomainError(f"scalar must be finite, got {c!r}")
     with _no_overflow("scalar_mul: phi(x) + c"):
@@ -427,8 +427,8 @@ def hopf_lax_evolve(s0: SampledFunction, t: float, m: float = 1.0) -> SampledFun
     """
     if s0.convention != "minplus":
         raise DomainError("the evolution acts on minplus initial data")
-    t = _positive_finite(float(t), "time")
-    m = _positive_finite(float(m), "mass")
+    t = _positive_finite(_real(t, "time"), "time")
+    m = _positive_finite(_real(m, "mass"), "mass")
     c = m / (2.0 * t)
     if not 0.0 < c < math.inf:
         how = "underflows to 0" if c == 0.0 else "overflows"

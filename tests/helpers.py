@@ -24,14 +24,16 @@ from tropikit import (
     NonConvergent,
     SampledFunction,
     SemiringMatrix,
+    ShapeMismatch,
     TropicalCurve,
     interval_add,
     log_h,
+    matrix_add,
+    matrix_mul,
 )
 from tropikit.cli import _float_list, _positive_float, _semiring
 from tropikit.fileio import _data_lines, _fields_fault, _no_nan, _read
-from tropikit.linalg import _check_system
-from tropikit.semiring import _no_overflow, _positive_finite, _require_idempotent
+from tropikit.semiring import _count, _no_overflow, _positive_finite, _require_idempotent, _same_spec
 from tropikit.transform import _same_convention
 
 INF = math.inf
@@ -109,6 +111,38 @@ def stabilized_star(A):
             return S
         S = nxt
     raise NonConvergent(f"no fixpoint after {n + 1} iterations")
+
+
+def _check_system(H, F):
+    """n for the system X = H (x) X (+) F, after the checks both Bellman
+    solvers make before they iterate."""
+    _same_spec(H, F)
+    if H.rows != H.cols:
+        raise ShapeMismatch(f"H must be square, got {H.shape}")
+    if F.rows != H.rows:
+        raise ShapeMismatch(f"F has {F.rows} rows for an {H.rows}-node system")
+    return H.rows
+
+
+def dense_jacobi(H, F, max_iter=None, full_output=False):
+    """Least solution of X = H (x) X (+) F by simultaneous updates from X0 = F.
+
+    Returns X, or (X, info) with info["iterations"] counting update passes
+    including the one that detects stabilization.  DomainError on overflow.
+
+    tropikit.solve_bellman_jacobi as it was before it became a sweep over
+    the padded rows of H: one matrix_mul over all n x n entries, then
+    matrix_add and ==, per pass.  Its overflow message begins 'matrix_mul:'."""
+    _require_idempotent(H.spec, "solve_bellman_jacobi")
+    n = _check_system(H, F)
+    budget = n + 1 if max_iter is None else _count(max_iter, "max_iter")
+    X = F
+    for it in range(1, budget + 1):
+        nxt = matrix_add(matrix_mul(H, X), F)
+        if nxt == X:
+            return (X, {"iterations": it}) if full_output else X
+        X = nxt
+    raise NonConvergent(f"no fixpoint after {budget} iterations")
 
 
 def row_sweep_gauss_seidel(H, F, max_iter=None, full_output=False):

@@ -249,3 +249,12 @@ def test_newton_coefficient_beyond_float_is_one_error_line(tmp_path, capsys):
     assert out == ""
     assert err.startswith("ERROR DomainError: cannot read coefficient")
     assert err.count("\n") == 1 and len(err) <= 120  # not the 401 digits of 1e400
+
+
+def test_newton_exponent_with_a_huge_decimal_exponent_is_one_error_line(tmp_path, capsys):
+    # refused before Fraction forms 10**99999999, which would take seconds
+    path = tmp_path / "p.txt"
+    path.write_text("n 1\n1 1e99999999\n1 0\n")
+    assert cli.main(["newton", "--poly", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "ERROR FileFormatError: not a rational: '1e99999999'\n")

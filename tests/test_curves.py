@@ -213,6 +213,18 @@ def test_amoeba_input_validation():
         amoeba_line_sample(1.0, 0)
 
 
+@pytest.mark.parametrize("terms,want", [
+    ([(0, (0, 0)), (1,)], "a term is a (coefficient, exponents) pair, got (1,)"),
+    ([(0, (0, 0)), 5], "a term is a (coefficient, exponents) pair, got 5"),
+    (None, "terms must be iterable, got None"),
+], ids=["short-term", "int-term", "none"])
+def test_curve_terms_are_read_as_polynomial_terms(terms, want):
+    # the term reader of GenPolynomial, with its messages
+    with pytest.raises(DomainError) as e:
+        tropical_curve_2d(terms)
+    assert str(e.value) == want
+
+
 @pytest.mark.parametrize("samples", [10**30, 2**62])
 def test_amoeba_beyond_numpy_largest_array_is_out_of_memory(samples):
     # numpy refuses these sizes before it allocates anything

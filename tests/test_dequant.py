@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -156,6 +157,16 @@ def test_integral_dimensions_are_read_as_int():
         P = Polytope(n, [(0, 0), (1, 0)])
         assert type(P.n) is int and repr(P).startswith("Polytope(2, ")
         assert type(GenPolynomial(n, ((1.0, (1, 0)),)).n) is int
+
+
+def test_exponent_text_with_a_huge_decimal_exponent_is_refused_at_once():
+    # the bound of the file readers: Fraction would form 10**99999999 exactly
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as e:
+        GenPolynomial(1, ((1.0, ("1e99999999",)),))
+    assert time.perf_counter() - start < 0.5
+    assert str(e.value) == "cannot read ('1e99999999',) as a rational vector"
+    assert GenPolynomial(1, ((1.0, ("1e-4300",)),)).terms[0][1] == (Fraction(1, 10**4300),)
 
 
 def test_overflowing_dot_products_are_a_domain_error():

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -200,6 +201,31 @@ def test_curve_parse_errors():
         parse_curve("base_x,base_y,dir_x,dir_y,t0,t1\n0/1,0/1,1/2,1/1,0/1,inf\n")
     with pytest.raises(FileFormatError):
         parse_curve("base_x,base_y,dir_x,dir_y,t0,t1\n0/1,0/1,1/1\n")
+
+
+_HEADER = "base_x,base_y,dir_x,dir_y,t0,t1\n"
+
+
+@pytest.mark.parametrize("parse,text,tok", [
+    (parse_poly, "n 1\n1 1e99999999\n", "1e99999999"),
+    (parse_poly, "n 1\n1E-99999999 1\n", "1E-99999999"),
+    (parse_poly, "n 1\n1 1e4301\n", "1e4301"),
+    (parse_curve, _HEADER + "1e99999999,0/1,1/1,1/1,0/1,inf\n", "1e99999999"),
+    (parse_curve, _HEADER + "0/1,0/1,1/1,1/1,0/1,1.5e+99_999_999\n", "1.5e+99_999_999"),
+], ids=["poly-exponent", "poly-negative-coefficient", "poly-one-past", "curve-base", "curve-t1"])
+def test_rational_with_a_huge_decimal_exponent_is_refused_at_once(parse, text, tok):
+    # Fraction would form 10**99999999 exactly, which takes seconds
+    start = time.perf_counter()
+    with pytest.raises(FileFormatError) as e:
+        parse(text)
+    assert time.perf_counter() - start < 0.5
+    assert str(e.value) == f"not a rational: {tok!r}"
+
+
+def test_rational_exponents_read_up_to_the_bound():
+    _, terms = parse_poly("n 1\n1e400 1e-4300\n")
+    assert terms == [(Fraction(10**400), (Fraction(1, 10**4300),))]
+    assert parse_curve(_HEADER + "0/1,0/1,1/1,1/1,0/1,2e4300\n").pieces[0].t1 == 2 * 10**4300
 
 
 def test_points_round_trip():

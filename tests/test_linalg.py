@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from helpers import (
     bellman_ford,
+    dense_jacobi,
     dijkstra,
     is_negative_cycle,
     one_shot_product,
@@ -48,6 +49,7 @@ from tropikit import (
     solve_bellman_gauss_seidel,
     solve_bellman_jacobi,
 )
+from tropikit import linalg
 from tropikit.fileio import parse_graph, read_text
 from tropikit.linalg import _accumulate
 
@@ -513,6 +515,56 @@ def test_gauss_seidel_is_bitwise_the_row_sweep(spec, n, data):
         return
     assert (_gauss_seidel_outcome(solve_bellman_gauss_seidel, H, F, max_iter)
             == _gauss_seidel_outcome(row_sweep_gauss_seidel, H, F, max_iter))
+
+
+def _oracle_outcome(solve, H, F, max_iter):
+    # (X bits, passes) or (exception type, message), with the overflow
+    # message of the dense Jacobi oracle under the solver's own name
+    got = _gauss_seidel_outcome(solve, H, F, max_iter)
+    if isinstance(got[1], str):
+        return got[0], got[1].replace("matrix_mul:", "solve_bellman_jacobi:")
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([BOOL, MAXPLUS, MINPLUS, MAXMIN, _python_ops(MINPLUS)]),
+       st.integers(1, 8), st.integers(1, 3), st.integers(0, 4), st.data())
+def test_bellman_solvers_are_bitwise_their_oracles(spec, n, k, density, data):
+    # the single sweep against the dense Jacobi loop and the row loop, from
+    # no finite entry of H to all of them: X bits, pass counts and errors
+    finite = st.sampled_from([0.0, 1.0]) if spec.name == "bool" else _LINALG_CELLS
+    cell = st.tuples(st.integers(0, 3), finite).map(lambda t: t[1] if t[0] < density else spec.zero)
+
+    def matrix(cols):
+        rows = st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=n, max_size=n)
+        return SemiringMatrix(data.draw(rows), spec)
+
+    H, F = matrix(n), matrix(k)
+    max_iter = data.draw(st.none() | st.integers(1, n + 1))
+    assert (_oracle_outcome(solve_bellman_jacobi, H, F, max_iter)
+            == _oracle_outcome(dense_jacobi, H, F, max_iter))
+    assert (_gauss_seidel_outcome(solve_bellman_gauss_seidel, H, F, max_iter)
+            == _gauss_seidel_outcome(row_sweep_gauss_seidel, H, F, max_iter))
+
+
+def test_bellman_solvers_share_one_sweep_and_no_matrix_product(monkeypatch):
+    # both solvers run on the padded rows of H: no matrix_mul, matrix_add or
+    # SemiringMatrix == on the way, for a converging and a diverging system
+    H, F = _bench_shaped_system(4, MINPLUS, n=60)
+    neg = minplus_mat([[INF, -1.0], [-1.0, INF]]), minplus_mat([[0.0], [INF]])
+    want = [dense_jacobi(H, F, full_output=True), row_sweep_gauss_seidel(H, F, full_output=True)]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the Bellman solvers form no matrix product")
+
+    for name in ("matrix_mul", "matrix_add"):
+        monkeypatch.setattr(linalg, name, fail)
+    monkeypatch.setattr(SemiringMatrix, "__eq__", fail)
+    for solve, (X, info) in zip((solve_bellman_jacobi, solve_bellman_gauss_seidel), want):
+        got, got_info = solve(H, F, full_output=True)
+        assert got.data.tobytes() == X.data.tobytes() and got_info == info
+        with pytest.raises(NonConvergent, match="no fixpoint after 3 "):
+            solve(*neg)
 
 
 def _bench_shaped_system(seed, spec, n=300):

@@ -13,6 +13,7 @@ from tropikit import (
     MINPLUS,
     NONNEG,
     DomainError,
+    Graph,
     IntervalMatrix,
     NotIdempotent,
     SampledFunction,
@@ -24,13 +25,17 @@ from tropikit import (
     deformed_add,
     deformed_spec,
     get_semiring,
+    hopf_lax_evolve,
+    interval_adjacency,
     interval_bellman,
     legendre,
     leq,
+    log_h,
     matrix_add,
     matrix_mul,
     mul,
     register_semiring,
+    scalar_mul,
     solve_bellman_gauss_seidel,
     solve_bellman_jacobi,
 )
@@ -233,11 +238,14 @@ COUNTS = [
     ("max_iter", 1, lambda c: solve_bellman_jacobi(_H2, _F2, max_iter=c)),
     ("max_iter", 1, lambda c: solve_bellman_gauss_seidel(_H2, _F2, max_iter=c)),
     ("max_iter", 1, lambda c: interval_bellman(_I2, _J2, max_iter=c)),
+    ("n", 1, lambda c: Graph(c, ((0, 1, 1.0),))),
+    ("n", 1, lambda c: interval_adjacency(c, [(0, 1, 1.0, 2.0)])),
 ]
-COUNT_IDS = ["trials", "seed", "samples", "xi_count", "jacobi", "gauss-seidel", "interval"]
+COUNT_IDS = ["trials", "seed", "samples", "xi_count", "jacobi", "gauss-seidel", "interval", "graph",
+             "interval-graph"]
 
 
-@pytest.mark.parametrize("bad", ["below", 2.5, math.nan, math.inf, True])
+@pytest.mark.parametrize("bad", ["below", 2.5, math.nan, math.inf, True, "3"])
 @pytest.mark.parametrize("what,least,call", COUNTS, ids=COUNT_IDS)
 def test_counts_are_integers_from_their_least(what, least, call, bad):
     # one rule: an int (not a bool), a numpy integer or an integral float >= least
@@ -249,6 +257,44 @@ def test_counts_are_integers_from_their_least(what, least, call, bad):
     assert str(e.value) == f"{what} must be an integer >= {least}, got {bad!r}"
     for ok in (3.0, np.int64(3)):
         call(ok)
+
+
+_S0 = SampledFunction(0.0, 1.0, [0.0, 1.0], "minplus")
+# (the entry point called with one real, the start of the message of a refusal)
+REALS = [
+    (deformed_spec, "deformation parameter must be a positive finite real, got"),
+    (lambda x: log_h((2.0,), x), "h must be a positive finite real, got"),
+    (lambda x: amoeba_line_sample(x, 4), "h must be a positive finite real, got"),
+    (lambda x: hopf_lax_evolve(_S0, x), "cannot read time"),
+    (lambda x: hopf_lax_evolve(_S0, 1.0, x), "cannot read mass"),
+    (lambda x: scalar_mul(x, _PHI), "cannot read scalar"),
+    (lambda x: legendre(_PHI, x, 1.0, 3), "cannot read grid start"),
+    (lambda x: SampledFunction(0.0, x, [0.0]), "cannot read grid step"),
+]
+REAL_IDS = ["deformed", "log_h", "amoeba", "time", "mass", "scalar", "legendre", "grid"]
+
+
+@pytest.mark.parametrize("bad", [True, "x", None, 10**400], ids=["bool", "text", "none", "huge-int"])
+@pytest.mark.parametrize("call,want", REALS, ids=REAL_IDS)
+def test_reals_are_read_by_one_rule(call, want, bad):
+    # a bool is no real, as it is no count; what float() cannot read is a DomainError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as e:
+            call(bad)
+    assert str(e.value).startswith(want)
+    for ok in (0.5, 2, np.float32(0.5), np.int64(2)):
+        if "positive finite" not in want or isinstance(ok, (int, float)):  # numpy scalars where float() reads
+            call(ok)
+
+
+def test_reals_read_today_keep_their_messages():
+    with pytest.raises(DomainError, match=r"^scalar must be finite, got inf$"):
+        scalar_mul("inf", _PHI)
+    with pytest.raises(DomainError, match=r"^time must be a positive finite real, got -1\.0$"):
+        hopf_lax_evolve(_S0, -1)
+    with pytest.raises(DomainError, match=r"^bad grid: start=0\.0 step=-1\.0 count=1$"):
+        SampledFunction(0, "-1", [0.0])
 
 
 def test_deformed_idempotency_gap_is_h_ln2():
