@@ -11,9 +11,9 @@ fhat(x) = max_i (d_i, x), uniformly at speed h.  The exponent geometry that
 survives the limit is carried by convex sets: Newton sets multiply by
 Minkowski sum and add by convex hull of the union, corner loci of max-plus
 polynomials are tropical curves, and log-images of complex varieties shrink
-onto them as h -> 0.  Polytopes and curves are exact over the rationals:
-every polytope and the corner locus run on integers scaled once by the lcm
-of the denominators, and convert back to exact Fractions at the output.
+onto them as h -> 0.  Polytopes and curves are exact over the rationals
+(ints or Fractions): they run on integers scaled once by the lcm of the
+denominators, and build Fractions only at the output.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     OutOfMemory,
-    UnsupportedDimension,
 )
 from .semiring import NEG_INF, POS_INF, _count, _no_overflow, _positive_finite, _short
 
@@ -47,18 +47,30 @@ _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*$", re.IGNORECASE)
 
 
-def _fraction(x) -> Fraction:
-    """Fraction(x); ValueError for a string with an exponent beyond
+def _rational(x):
+    """x as an exact rational: an int or a Fraction as it is, integer text
+    by int(), anything else by Fraction(x).  A Decimal is read through its
+    text, which is exact; ValueError for text with a decimal exponent beyond
     _MAX_EXPONENT in size."""
-    e = _EXPONENT.search(x) if isinstance(x, str) else None
-    if e and abs(int(e[1])) > _MAX_EXPONENT:
-        raise ValueError(f"exponent beyond {_MAX_EXPONENT} in {x!r}")
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, Decimal):
+        x = str(x)
+    if isinstance(x, str):
+        if "_" not in x:  # Fraction refuses the separators that int takes on 3.10
+            try:
+                return int(x)
+            except ValueError:
+                pass
+        e = _EXPONENT.search(x)
+        if e and abs(int(e[1])) > _MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {_MAX_EXPONENT} in {x!r}")
     return Fraction(x)
 
 
-def _frac_vec(v, n: int) -> Tuple[Fraction, ...]:
+def _frac_vec(v, n: int) -> tuple:
     try:
-        t = tuple(c if type(c) is Fraction else _fraction(c) for c in v)
+        t = tuple(map(_rational, v))
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise DomainError(f"cannot read {_short(v)} as a rational vector") from None
     if len(t) != n:
@@ -113,9 +125,9 @@ def _scaled(points, n: int):
 class GenPolynomial:
     """Finite sum of monomials a * y1^d1 * ... * yn^dn with rational exponents.
 
-    Coefficients are nonzero reals; exponent vectors are distinct.  On the
-    open positive orthant every monomial is single-valued, which is all the
-    dequantization map needs.
+    Coefficients are nonzero reals; exponent vectors are distinct, read by
+    _rational.  On the open positive orthant every monomial is
+    single-valued, which is all the dequantization map needs.
     """
 
     n: int
@@ -370,15 +382,12 @@ def polytope_mul(P: Polytope, Q: Polytope) -> Polytope:
     return Polytope(P.n, sums)
 
 
-def newton_set(f: GenPolynomial, exact: bool = False) -> Polytope:
+def newton_set(f: GenPolynomial) -> Polytope:
     """Convex hull of the exponent vectors of f.
 
     This is also the subdifferential at 0 of the dequantized limit
-    max_i (d_i, x).  Pass exact=True to insist on a reduced vertex list,
-    which is only available up to dimension 2.
+    max_i (d_i, x); see Polytope.reduced for its vertex list.
     """
-    if exact and f.n > 2:
-        raise UnsupportedDimension(f"exact reduction is limited to n <= 2, got n = {f.n}")
     return Polytope(f.n, [d for _, d in f.terms])
 
 

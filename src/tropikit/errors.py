@@ -58,10 +58,6 @@ class DimensionMismatch(TropikitError):
     """Operands live in spaces of different dimension."""
 
 
-class UnsupportedDimension(TropikitError):
-    """Exact polytope reduction was requested above dimension 2."""
-
-
 class AmbiguousLimit(TropikitError):
     """The dequantized limit is not determined: the leading exponent is tied
     between terms whose coefficients are not all positive."""

@@ -12,11 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dequant import CurvePiece, TropicalCurve, _fraction
+from .dequant import CurvePiece, TropicalCurve, _rational
 from .errors import FileFormatError
 from .interval import IntervalMatrix
 from .linalg import Graph, SemiringMatrix
-from .semiring import NEG_INF, POS_INF, SemiringSpec
+from .semiring import NEG_INF, POS_INF, SemiringSpec, _short
 from .transform import SampledFunction
 
 
@@ -68,11 +68,11 @@ def fmt_frac(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_frac(tok: str) -> Fraction:
+def parse_frac(tok: str):
     try:
-        return _fraction(tok)
+        return _rational(tok)
     except (ValueError, ZeroDivisionError):
-        raise FileFormatError(f"not a rational: {tok!r}") from None
+        raise FileFormatError(f"not a rational: {_short(tok)}") from None
 
 
 def _data_lines(text: str):
@@ -249,9 +249,8 @@ def parse_interval_matrix(text: str, spec: SemiringSpec) -> IntervalMatrix:
 
 
 def parse_poly(text: str):
-    """Returns (n, [(coeff: Fraction, exps: tuple[Fraction, ...]), ...]).
-
-    Coefficients parse exactly as rationals; callers needing floats convert.
+    """Returns (n, [(coeff, exps), ...]), each an exact rational read by
+    parse_frac (an int for integer text); callers needing floats convert.
     """
     lns, lines = _data_lines(text)
     n = _header_int(lns, lines, "n")
@@ -273,37 +272,17 @@ _CURVE_HEADER = "base_x,base_y,dir_x,dir_y,t0,t1"
 
 
 def _fmt_t(t) -> str:
-    if t == POS_INF:
-        return "inf"
-    if t == NEG_INF:
-        return "-inf"
-    return fmt_frac(t)
+    return fmt_float(t) if t in (POS_INF, NEG_INF) else fmt_frac(t)
 
 
 def _parse_t(tok: str):
-    if tok == "inf":
-        return POS_INF
-    if tok == "-inf":
-        return NEG_INF
-    return parse_frac(tok)
+    return float(tok) if tok in ("inf", "-inf") else parse_frac(tok)
 
 
 def format_curve(curve: TropicalCurve) -> str:
-    out = [_CURVE_HEADER]
-    for p in curve.pieces:
-        out.append(
-            ",".join(
-                (
-                    fmt_frac(p.base[0]),
-                    fmt_frac(p.base[1]),
-                    fmt_frac(p.direction[0]),
-                    fmt_frac(p.direction[1]),
-                    _fmt_t(p.t0),
-                    _fmt_t(p.t1),
-                )
-            )
-        )
-    return "\n".join(out) + "\n"
+    rows = (",".join([*map(fmt_frac, (*p.base, *p.direction)), _fmt_t(p.t0), _fmt_t(p.t1)])
+            for p in curve.pieces)
+    return "\n".join([_CURVE_HEADER, *rows]) + "\n"
 
 
 def parse_curve(text: str) -> TropicalCurve:

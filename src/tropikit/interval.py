@@ -17,11 +17,11 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NonConvergent, ShapeMismatch
-from .semiring import MINPLUS, SemiringSpec, _count, _require_idempotent, _same_spec, add, leq, mul
+from .semiring import MINPLUS, SemiringSpec, _count, _Frozen, _require_idempotent, _same_spec, add, leq, mul
 
 
-class IntervalValue:
-    """Closed interval in the standard order of an idempotent semiring."""
+class IntervalValue(_Frozen):
+    """Closed interval in the standard order of an idempotent semiring; immutable."""
 
     __slots__ = ("lower", "upper", "spec")
 
@@ -30,9 +30,7 @@ class IntervalValue:
         upper = float(upper) + 0.0
         if not leq(lower, upper, spec):
             raise DomainError(f"endpoints out of order for {spec.name}: {lower!r} !<= {upper!r}")
-        self.lower = lower
-        self.upper = upper
-        self.spec = spec
+        self._set(lower=lower, upper=upper, spec=spec)
 
     @classmethod
     def from_numeric(cls, a: float, b: float, spec: SemiringSpec) -> "IntervalValue":
@@ -78,8 +76,8 @@ def interval_mul(x: IntervalValue, y: IntervalValue) -> IntervalValue:
     return IntervalValue(mul(x.lower, y.lower, spec), mul(x.upper, y.upper, spec), spec)
 
 
-class IntervalMatrix:
-    """Matrix of intervals, stored as the two endpoint matrices."""
+class IntervalMatrix(_Frozen):
+    """Matrix of intervals, stored as the two endpoint matrices; immutable."""
 
     __slots__ = ("lower", "upper")
 
@@ -90,8 +88,7 @@ class IntervalMatrix:
             raise ShapeMismatch(f"endpoint shapes differ: {lower.shape} vs {upper.shape}")
         if not np.array_equal(spec.add(lower.data, upper.data), upper.data):
             raise DomainError("some interval has endpoints out of standard order")
-        self.lower = lower
-        self.upper = upper
+        self._set(lower=lower, upper=upper)
 
     @classmethod
     def from_arrays(cls, lower, upper, spec: SemiringSpec) -> "IntervalMatrix":

@@ -10,23 +10,23 @@ shift by) already-computed floats, so fixpoint detection is exact equality.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 
 from .errors import DomainError, NegativeCycle, NonConvergent, OutOfMemory, ShapeMismatch
-from .semiring import MINPLUS, SemiringSpec, _count, _no_overflow, _require_idempotent, _same_spec
+from .semiring import MINPLUS, SemiringSpec, _count, _Frozen, _no_overflow, _require_idempotent, _same_spec
 
 # Float64 elements per pairwise temporary in matrix_mul: 256 KiB, which stays
 # in L2 whatever the size of the problem.
 _BLOCK = 1 << 15
 
 
-class SemiringMatrix:
+class SemiringMatrix(_Frozen):
     """2-D float64 matrix with entries in a fixed semiring carrier.
 
     Entries are validated once at construction; -0.0 is normalized to +0.0
-    there, so equality of matrices is plain bitwise comparison.
+    there, so equality of matrices is plain bitwise comparison.  Immutable,
+    with a read-only data array.
     """
 
     __slots__ = ("spec", "data")
@@ -39,8 +39,7 @@ class SemiringMatrix:
         if not bool(np.all(spec.contains(arr))):
             raise DomainError(f"matrix has entries outside the carrier of {spec.name}")
         arr.setflags(write=False)
-        self.spec = spec
-        self.data = arr
+        self._set(spec=spec, data=arr)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, spec: SemiringSpec) -> "SemiringMatrix":
@@ -343,13 +342,12 @@ def _node_ids(n: int, src, dst):
     return src.astype(np.int64), dst.astype(np.int64)
 
 
-class Graph:
+class Graph(_Frozen):
     """Weighted directed graph; node ids are 0..n-1, parallel edges allowed.
 
     Built from (src, dst, weight) triples or a record array of three fields,
     and held as three read-only arrays: src, dst (int64) and w (float64).
-    Immutable, like a frozen dataclass: setting an attribute raises
-    FrozenInstanceError.
+    Immutable.
     """
 
     __slots__ = ("n", "src", "dst", "w")
@@ -363,14 +361,7 @@ class Graph:
             raise DomainError(f"edge weight must be finite, got {float(w[~np.isfinite(w)][0])!r}")
         for a in (src, dst, w):
             a.setflags(write=False)
-        for name, value in zip(self.__slots__, (n, src, dst, w)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        self._set(n=n, src=src, dst=dst, w=w)
 
     @property
     def edges(self) -> tuple:

@@ -22,7 +22,7 @@ import math
 import reprlib
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,6 +31,23 @@ from .errors import DomainError, NotIdempotent, SpecMismatch
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+
+class _Frozen:
+    """Base of the slotted value types: __init__ sets the fields through
+    _set, and assignment or deletion raises FrozenInstanceError."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 _REPR = reprlib.Repr()

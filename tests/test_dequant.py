@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,6 @@ from tropikit import (
     Polytope,
     TropicalCurve,
     TropikitError,
-    UnsupportedDimension,
     amoeba_line_sample,
     dequantize_limit,
     eval_dequantized,
@@ -167,6 +167,18 @@ def test_exponent_text_with_a_huge_decimal_exponent_is_refused_at_once():
     assert time.perf_counter() - start < 0.5
     assert str(e.value) == "cannot read ('1e99999999',) as a rational vector"
     assert GenPolynomial(1, ((1.0, ("1e-4300",)),)).terms[0][1] == (Fraction(1, 10**4300),)
+
+
+def test_decimal_exponents_share_the_text_bound():
+    # a Decimal is read through its exact text, so the one bound covers it
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="as a rational vector"):
+        GenPolynomial(1, ((1.0, (Decimal("1e999999"),)),))
+    assert time.perf_counter() - start < 0.5
+    assert GenPolynomial(1, ((1.0, (Decimal("1.50"),)),)).terms[0][1] == (Fraction(3, 2),)
+    for bad in ("NaN", "-Infinity", "sNaN"):
+        with pytest.raises(DomainError):
+            GenPolynomial(1, ((1.0, (Decimal(bad),)),))
 
 
 def test_overflowing_dot_products_are_a_domain_error():
@@ -440,8 +452,6 @@ def test_high_dimensional_unreduced_path():
     f = GenPolynomial(3, ((1.0, (1, 0, 0)), (1.0, (0, 1, 0)), (1.0, (0, 0, 1))))
     P = newton_set(f)
     assert not P.reduced
-    with pytest.raises(UnsupportedDimension):
-        newton_set(f, exact=True)
     g = GenPolynomial(3, ((1.0, (2, 0, 0)), (1.0, (0, 2, 0)), (1.0, (0, 0, 2))))
     # support-function equality certificate in 3-D
     assert newton_set(poly_mul(f, g)) == polytope_mul(P, newton_set(g))

@@ -20,7 +20,8 @@ from tropikit import (
     newton_set,
     tropical_curve_2d,
 )
-from tropikit.fileio import format_curve
+from tropikit import cli
+from tropikit.fileio import fmt_frac, format_curve, parse_poly
 
 
 def lattice_points(rng, k, lo, hi):
@@ -206,6 +207,76 @@ def test_newton_set_of_twenty_thousand_points_is_fast_and_bitwise_the_fraction_c
     P = newton_set(f)
     assert time.perf_counter() - t < 1.0
     assert P.vertices == tuple(fraction_hull_2d([d for _, d in f.terms]))
+
+
+# --- integers from the file to the hull ------------------------------------------
+
+
+def poly_text(coeffs, pts):
+    return "n 2\n" + "".join(f"{c} {x} {y}\n" for c, (x, y) in zip(coeffs, pts))
+
+
+def test_integers_stay_ints_until_the_output():
+    n, terms = parse_poly("n 2\n3 0 1\n-2 4 0\n1/2 1 1\n5 2 2\n0.5 3 1\n")
+    assert [type(c) for c, _ in terms] == [int, int, Fraction, int, Fraction]
+    assert all(type(e) is int for _, d in terms for e in d)
+    f = GenPolynomial(n, tuple(terms))
+    assert all(type(e) is int for _, d in f.terms for e in d)
+    # equal and hash-equal to the same polynomial read as Fractions
+    g = GenPolynomial(n, tuple((c, tuple(map(Fraction, d))) for c, d in terms))
+    assert f == g and hash(f) == hash(g)
+    mixed = GenPolynomial(2, ((1.0, (1, Fraction(1, 2))), (2.0, ("3", "2/4"))))
+    assert [tuple(map(type, d)) for _, d in mixed.terms] == [(int, Fraction)] * 2
+    assert all(type(c) is Fraction for v in newton_set(f).vertices for c in v)
+    for p in tropical_curve_2d(terms).pieces:
+        assert [type(v) for v in (*p.base, *p.direction)] == [Fraction, Fraction, int, int]
+        assert type(p.t0) is Fraction or p.t0 == -np.inf
+        assert type(p.t1) is Fraction or p.t1 == np.inf
+
+
+def test_an_integer_file_builds_fractions_only_for_the_vertices(monkeypatch):
+    rng = np.random.default_rng(78)
+    text = poly_text(rng.integers(1, 10, 500) * rng.choice([-1, 1], 500),
+                     lattice_points(rng, 500, -60, 60))
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    n, terms = parse_poly(text)
+    P = newton_set(GenPolynomial(n, tuple(terms)))
+    monkeypatch.undo()
+    assert len(P.vertices) > 2 and len(built) == 2 * len(P.vertices)
+
+
+@pytest.mark.parametrize("seed,size", [(80, 200), (81, 900), (82, 2000)])
+def test_newton_cli_on_an_integer_file_is_the_fraction_chain(tmp_path, capsys, seed, size):
+    rng = np.random.default_rng(seed)
+    pts = lattice_points(rng, size, -60, 60)
+    path = tmp_path / "p.poly"
+    path.write_text(poly_text(rng.integers(1, 10, size) * rng.choice([-1, 1], size), pts))
+    assert cli.main(["newton", "--poly", str(path)]) == 0
+    hull = fraction_hull_2d([tuple(map(Fraction, p)) for p in pts])
+    want = "; ".join(" ".join(fmt_frac(c) for c in v) for v in hull) + "\n"
+    assert capsys.readouterr() == (want, "")
+
+
+@pytest.mark.parametrize("seed,integer_constants", [(83, False), (84, False), (85, True), (86, True)])
+def test_tropcurve_cli_on_a_lattice_file_is_the_fraction_scan(tmp_path, capsys, seed,
+                                                              integer_constants):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(8, 25))
+    pts = lattice_points(rng, k, 0, 10)
+    coeffs = [f"{p}" if integer_constants else f"{p}/{q}"
+              for p, q in zip(rng.integers(-30, 31, k), rng.integers(1, 5, k))]
+    path = tmp_path / "p.poly"
+    path.write_text(poly_text(coeffs, pts))
+    assert cli.main(["tropcurve", "--poly", str(path)]) == 0
+    want = format_curve(fraction_tropical_curve_2d([(Fraction(c), d) for c, d in zip(coeffs, pts)]))
+    assert capsys.readouterr() == (want, "")
 
 
 # --- typed failures ----------------------------------------------------------------

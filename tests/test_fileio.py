@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -32,6 +33,8 @@ from tropikit import (
     interval_adjacency,
     tropical_curve_2d,
 )
+from tropikit.dequant import _MAX_EXPONENT, _rational
+from tropikit.semiring import _short
 from tropikit.fileio import (
     _data_lines,
     _float_rows,
@@ -220,6 +223,72 @@ def test_rational_with_a_huge_decimal_exponent_is_refused_at_once(parse, text, t
         parse(text)
     assert time.perf_counter() - start < 0.5
     assert str(e.value) == f"not a rational: {tok!r}"
+
+
+@pytest.mark.parametrize("parse,line", [
+    (parse_poly, "n 1\n1 {}\n"),
+    (parse_curve, _HEADER + "0/1,0/1,1/1,1/1,0/1,{}\n"),
+], ids=["poly", "curve"])
+def test_a_long_bad_token_is_cut_in_the_message(parse, line):
+    tok = "1" * 3000 + "x"
+    with pytest.raises(FileFormatError) as e:
+        parse(line.format(tok))
+    assert str(e.value) == f"not a rational: {_short(tok)}"
+    assert len(str(e.value)) < 100
+
+
+_DIGITS = st.sampled_from("0123456789") | st.sampled_from("\u0663\u0664\uff10\uff11\u00b2")
+_INTEGER = st.text(_DIGITS, min_size=1, max_size=6)
+
+
+@st.composite
+def rational_tokens(draw):
+    """Integer, p/q, decimal and exponent text, signed, padded, with '_'
+    separators and non-ASCII digits, and some that are none of these."""
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    body = draw(st.one_of(
+        _INTEGER,
+        st.builds("{}/{}".format, _INTEGER, _INTEGER),
+        st.builds("{}.{}".format, _INTEGER, _INTEGER),
+        st.builds("{}e{}{}".format, _INTEGER, st.sampled_from(["", "-", "+"]), _INTEGER),
+        st.builds("{}_{}".format, _INTEGER, _INTEGER),
+        st.text("0123456789+-./eE_x \t", min_size=1, max_size=8),
+    ))
+    pad = draw(st.sampled_from(["", " ", "\t", "\n "]))
+    return pad + sign + body + pad
+
+
+def _exponent_past_the_bound(tok):
+    e = re.search(r"e([-+]?[\d_]+)\s*$", tok, re.IGNORECASE)
+    try:
+        return abs(int(e[1])) > _MAX_EXPONENT
+    except (TypeError, ValueError):  # no exponent, or not one int() reads
+        return False
+
+
+def _read_or_refusal(read, tok):
+    try:
+        return read(tok)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+
+
+@settings(max_examples=600, deadline=None)
+@given(tok=rational_tokens() | st.sampled_from(
+    ["1_0", "0x10", "\u00b2", "3/6", "-007", " +5 ", "\u0663/\u0664", "\uff11\uff10", "1" * 5000]))
+def test_one_reader_is_fractions_grammar(tok):
+    # equal and hash-equal to Fraction(tok) on this Python, or both refuse
+    # alike; integer text reads as an int.  An exponent past the bound is
+    # refused by _rational alone (see the tests above).
+    got = _read_or_refusal(_rational, tok)
+    if got is ValueError and _exponent_past_the_bound(tok):
+        return
+    want = _read_or_refusal(Fraction, tok)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert got == want and hash(got) == hash(want)
+        assert type(got) is (int if tok.strip().lstrip("+-").isdecimal() else Fraction)
 
 
 def test_rational_exponents_read_up_to_the_bound():

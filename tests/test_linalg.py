@@ -29,6 +29,8 @@ from tropikit import (
     NONNEG,
     DomainError,
     Graph,
+    IntervalMatrix,
+    IntervalValue,
     NegativeCycle,
     NonConvergent,
     NotIdempotent,
@@ -439,6 +441,23 @@ def test_graph_keeps_its_edges_as_arrays():
     assert Graph(1).edges == ()
     with pytest.raises(DomainError, match="finite"):
         Graph(2, ((0, 1, INF),))
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: SemiringMatrix([[1.0]], MINPLUS), "data"),
+    (lambda: IntervalMatrix.from_arrays([[1.0]], [[0.0]], MINPLUS), "lower"),
+    (lambda: IntervalValue(3.0, 1.0, MINPLUS), "lower"),
+    (lambda: Graph(2, ((0, 1, 1.0),)), "w"),
+], ids=["SemiringMatrix", "IntervalMatrix", "IntervalValue", "Graph"])
+def test_value_types_are_frozen(make, name):
+    x = make()
+    before = repr(x)
+    for field in (name, "spec", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, field, np.array([[np.nan]]))
+    with pytest.raises(FrozenInstanceError):
+        delattr(x, name)
+    assert repr(x) == before and x == make()
 
 
 def test_graph_is_immutable():
