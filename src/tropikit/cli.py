@@ -52,9 +52,12 @@ def _positive_float(tok: str) -> float:
 
 def _float_list(tok: str):
     try:
-        return [float(t) for t in tok.split(",") if t]
+        vals = [float(t) for t in tok.split(",") if t]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {tok!r}") from None
+        vals = []
+    if not vals:
+        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {tok!r}")
+    return vals
 
 
 _COMMANDS = {}

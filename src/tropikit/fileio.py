@@ -2,6 +2,9 @@
 
 Floats are rendered with %.17g so parsing them back recovers the exact
 double; the infinities are the tokens inf and -inf, rationals are p/q.
+The numeric writers format each distinct value of an array once, telling
+values apart by their bits (so -0.0 still prints -0 beside 0.0), and
+gather the strings: the bytes are those of fmt_float on every entry.
 Writers always end with a newline and use LF regardless of platform.
 """
 
@@ -13,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dequant import CurvePiece, TropicalCurve, _rational
-from .errors import FileFormatError
+from .errors import DomainError, FileFormatError, ShapeMismatch
 from .interval import IntervalMatrix
 from .linalg import Graph, SemiringMatrix
 from .semiring import NEG_INF, POS_INF, SemiringSpec, _short
@@ -24,12 +27,21 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _fmt_cells(a) -> np.ndarray:
+    """fmt_float of every entry of a, as an object array of a's shape.
+
+    Idempotent results repeat a few values many times, so each distinct
+    bit pattern is formatted once and the strings are gathered back."""
+    a = np.ascontiguousarray(a, dtype=float)
+    bits, inv = np.unique(a.view(np.int64), return_inverse=True)
+    strs = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
+    # numpy 1.x returns inv flat, numpy 2.x in a's shape
+    return strs[inv.reshape(a.shape)]
+
+
 def _float_lines(a: np.ndarray, sep: str) -> list:
-    """One line per row of the 2-D array a: fmt_float of each entry, joined
-    by sep.  One %-format per row, of that row's tolist() floats only, so no
-    Python float outlives its row."""
-    line = sep.join(["%.17g"] * a.shape[1])
-    return [line % tuple(row.tolist()) for row in a]
+    """One line per row of the 2-D array a: its cells joined by sep."""
+    return [sep.join(row) for row in _fmt_cells(a).tolist()]
 
 
 def _number(tok: str, kind):
@@ -315,7 +327,20 @@ _POINTS_HEADER = "x,y"
 
 
 def format_points(arr) -> str:
-    arr = np.asarray(arr, dtype=float)
+    """The header and one x,y line per row of arr, which parse_points reads
+    back: a (k, 2) array with no NaN, or ShapeMismatch or DomainError."""
+    try:
+        shape = np.shape(arr)
+    except ValueError:
+        raise ShapeMismatch("points must be a (k, 2) array, got a ragged list") from None
+    if len(shape) != 2 or shape[1] != 2:
+        raise ShapeMismatch(f"points must be a (k, 2) array, got shape {shape}")
+    try:
+        arr = np.asarray(arr, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("points must be real numbers") from None
+    if not _no_nan(arr):
+        raise DomainError("NaN is not a point coordinate")
     return "\n".join([_POINTS_HEADER, *_float_lines(arr, ",")]) + "\n"
 
 
@@ -337,8 +362,7 @@ def parse_points(text: str) -> np.ndarray:
 
 def format_function(f: SampledFunction) -> str:
     head = f"start {fmt_float(f.start)} step {fmt_float(f.step)} convention {f.convention}"
-    # the bytes of fmt_float: each np.float64 is a Python float
-    return "\n".join([head, *map("%.17g".__mod__, f.values)]) + "\n"
+    return "\n".join([head, *_fmt_cells(f.values).tolist()]) + "\n"
 
 
 def parse_function(text: str) -> SampledFunction:

@@ -32,7 +32,7 @@ from tropikit import (
     matrix_mul,
 )
 from tropikit.cli import _float_list, _positive_float, _semiring
-from tropikit.fileio import _data_lines, _fields_fault, _no_nan, _read
+from tropikit.fileio import _data_lines, _fields_fault, _no_nan, _read, fmt_float
 from tropikit.semiring import _count, _no_overflow, _positive_finite, _require_idempotent, _same_spec
 from tropikit.transform import _same_convention
 
@@ -357,6 +357,42 @@ def per_token_edges(text, weights):
             raise ValueError(ln)
         edges.append((_per_token_int(parts[0], ln), _per_token_int(parts[1], ln), *ws))
     return n, edges
+
+
+# --- the numeric writers, one %-format per row ----------------------------------
+#
+# The writers as they were before every numeric writer formatted each
+# distinct value once: a %-format per row of floats, and for function
+# files one %-format per numpy scalar.
+
+
+def row_float_lines(a, sep):
+    """One line per row of the 2-D array a: fmt_float of each entry, joined
+    by sep.  One %-format per row, of that row's tolist() floats only, so no
+    Python float outlives its row."""
+    line = sep.join(["%.17g"] * a.shape[1])
+    return [line % tuple(row.tolist()) for row in a]
+
+
+def row_format_matrix(M):
+    return "\n".join(row_float_lines(M.data, "\t")) + "\n"
+
+
+def row_format_interval_matrix(M):
+    lo, hi = M.numeric_bounds()
+    cells = np.stack((lo, hi), axis=2).reshape(lo.shape[0], 2 * lo.shape[1])
+    return "\n".join(row_float_lines(cells, "\t")) + "\n"
+
+
+def row_format_points(arr):
+    arr = np.asarray(arr, dtype=float)
+    return "\n".join(["x,y", *row_float_lines(arr, ",")]) + "\n"
+
+
+def scalar_format_function(f):
+    head = f"start {fmt_float(f.start)} step {fmt_float(f.step)} convention {f.convention}"
+    # the bytes of fmt_float: each np.float64 is a Python float
+    return "\n".join([head, *map("%.17g".__mod__, f.values)]) + "\n"
 
 
 def dyadic(rng, size=None, lo=-8.0, hi=8.0, grain=64):

@@ -158,6 +158,21 @@ def test_help_and_usage_errors_match_the_reference_parser(argv, monkeypatch, cap
     assert got[0] == got[1]
 
 
+@pytest.mark.parametrize("h", [",", ",,", ""])
+def test_dequant_demo_refuses_an_h_list_with_no_value(h):
+    r = run_cli(["dequant-demo", "--h", h])
+    assert r.returncode == 2
+    assert r.stdout == b""
+    assert r.stderr.decode().splitlines()[-1].endswith(
+        f"error: argument --h: not a comma-separated float list: {h!r}")
+    assert r.stderr.count(b"error:") == 1
+
+
+def test_dequant_demo_skips_empty_h_fields(capsys):
+    assert cli.main(["dequant-demo", "--h", "1,,2,"]) == 0
+    assert capsys.readouterr().out == "1\t0.69314718055994529\n2\t1.3862943611198906\n"
+
+
 def test_library_rejects_the_command_line_values_outside_the_domain(capsys):
     bellman = ["bellman", "--h-matrix", str(DATA / "h.txt"), "--f-matrix", str(DATA / "f.txt"),
                "--semiring", "minplus"]

@@ -1,5 +1,7 @@
 import math
 import re
+import struct
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -12,6 +14,10 @@ from helpers import (
     per_token_edges,
     per_token_float_rows,
     per_token_function_samples,
+    row_format_interval_matrix,
+    row_format_matrix,
+    row_format_points,
+    scalar_format_function,
 )
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -26,6 +32,7 @@ from tropikit import (
     MINPLUS,
     SampledFunction,
     SemiringMatrix,
+    ShapeMismatch,
     TropicalCurve,
     TropikitError,
     adjacency_matrix,
@@ -37,6 +44,7 @@ from tropikit.dequant import _MAX_EXPONENT, _rational
 from tropikit.semiring import _short
 from tropikit.fileio import (
     _data_lines,
+    _fmt_cells,
     _float_rows,
     _token_fault,
     _tokenized,
@@ -354,6 +362,94 @@ def test_writers_match_per_element_fmt_float():
     f = SampledFunction(-1.0, 0.125, np.array([v for v in vals if v != INF]), "maxplus")
     head = "start -1 step 0.125 convention maxplus\n"
     assert format_function(f) == head + table(f.values[:, None], "")
+
+
+# --- the one cell kernel against the per-row writers it replaced ----------------
+
+_CELL_EDGES = [0.0, -0.0, INF, -INF, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
+               sys.float_info.max, -sys.float_info.max, 0.1, 1.0 / 3.0, 1.0, -2.5, 2.0**53 + 2]
+_CELL_FLOATS = st.one_of(st.sampled_from(_CELL_EDGES), st.floats(allow_nan=False))
+
+
+@st.composite
+def _cell_grids(draw):
+    """A 2-D float array whose entries repeat from a pool of at most 4
+    values, as idempotent results do, or are all distinct by their bits."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(1, cols), (rows, 1), (rows, cols)]))
+    n = shape[0] * shape[1]
+    if draw(st.booleans()):
+        pool = draw(st.lists(_CELL_FLOATS, min_size=1, max_size=4))
+        cells = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    else:
+        cells = draw(st.lists(_CELL_FLOATS, min_size=n, max_size=n,
+                              unique_by=lambda x: struct.pack("<d", x)))
+    return np.array(cells, dtype=float).reshape(shape)
+
+
+def _laid_out(a, layout):
+    """a in C order, Fortran order, as a strided or reversed view, or as float32."""
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        big = np.zeros((2 * a.shape[0], 3 * a.shape[1]))
+        big[::2, ::3] = a
+        return big[::2, ::3]
+    if layout == "reversed":
+        return a[::-1, ::-1]
+    if layout == "float32":
+        with np.errstate(over="ignore"):
+            return a.astype(np.float32)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=_cell_grids(), layout=st.sampled_from(["C", "fortran", "strided", "reversed", "float32"]),
+       convention=st.sampled_from(["maxplus", "minplus"]),
+       start=st.floats(-1e6, 1e6), step=st.floats(1e-3, 1e3))
+def test_writers_are_byte_identical_to_the_per_row_writers(grid, layout, convention, start, step):
+    a = _laid_out(grid, layout)
+    M = SemiringMatrix(a, MAXMIN)
+    assert format_matrix(M) == row_format_matrix(M)
+
+    X = IntervalMatrix.from_numeric(a, _laid_out(grid[::-1], layout), MAXMIN)
+    assert format_interval_matrix(X) == row_format_interval_matrix(X)
+
+    # 0.0 and -0.0 in one array: the kernel tells values apart by their bits
+    flat = np.concatenate([grid.ravel(), [0.0, -0.0]])
+    pts = _laid_out(flat[: flat.size // 2 * 2].reshape(-1, 2), layout)
+    assert format_points(pts) == row_format_points(pts)
+
+    vals = _laid_out(grid.ravel()[None].copy(), layout)[0]
+    vals[vals == (INF if convention == "maxplus" else -INF)] = 1.5
+    f = SampledFunction(start, step, vals, convention)
+    assert format_function(f) == scalar_format_function(f)
+
+
+def test_cells_keep_the_shape_and_the_sign_of_zero():
+    a = np.array([[0.0, -0.0, 0.0], [-0.0, INF, -INF]])
+    cells = _fmt_cells(a)
+    assert cells.dtype == object and cells.shape == (2, 3)
+    assert cells.tolist() == [["0", "-0", "0"], ["-0", "inf", "-inf"]]
+    assert _fmt_cells(np.array([0.5, 0.5, 5e-324])).tolist() == ["0.5", "0.5", "4.9406564584124654e-324"]
+    for shape in ((0,), (0, 3), (3, 0)):
+        assert _fmt_cells(np.zeros(shape)).shape == shape
+    assert format_points(np.zeros((0, 2))) == "x,y\n"
+    assert format_points([[0.0, -0.0], [-0.0, 0.0]]) == "x,y\n0,-0\n-0,0\n"
+
+
+@pytest.mark.parametrize("arr,error,message", [
+    (np.ones((3, 3)), ShapeMismatch, "got shape (3, 3)"),
+    (np.ones(2), ShapeMismatch, "got shape (2,)"),
+    (np.ones((1, 2, 2)), ShapeMismatch, "got shape (1, 2, 2)"),
+    ([[1.0, 2.0], [3.0]], ShapeMismatch, "ragged"),
+    ([[math.nan, 1.0]], DomainError, "NaN"),
+    (np.array([[0.0, 1.0], [2.0, math.nan]], dtype=np.float32), DomainError, "NaN"),
+    ([["x", 1.0]], DomainError, "real numbers"),
+], ids=["3x3", "1-D", "3-D", "ragged", "nan", "nan-float32", "text"])
+def test_points_writer_refuses_what_the_reader_cannot_read_back(arr, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        format_points(arr)
 
 
 # --- the array reader against the per-token reader it replaced ------------------
