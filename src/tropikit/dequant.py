@@ -29,15 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AmbiguousLimit,
-    CancellationAtPoint,
-    DegenerateInput,
-    DimensionMismatch,
-    DomainError,
-    OutOfMemory,
-)
-from .semiring import NEG_INF, POS_INF, _count, _no_overflow, _positive_finite, _short
+from .errors import AmbiguousLimit, CancellationAtPoint, DegenerateInput, DimensionMismatch, DomainError
+from .semiring import (NEG_INF, POS_INF, _allocatable, _count, _Frozen, _no_overflow, _positive_finite,
+                       _real, _short)
 
 
 # Fraction reads a decimal exponent e by forming 10**e exactly, which takes
@@ -121,37 +115,35 @@ def _scaled(points, n: int):
 # --- generalized polynomials -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenPolynomial:
+class GenPolynomial(_Frozen):
     """Finite sum of monomials a * y1^d1 * ... * yn^dn with rational exponents.
 
     Coefficients are nonzero reals; exponent vectors are distinct, read by
     _rational.  On the open positive orthant every monomial is
-    single-valued, which is all the dequantization map needs.
+    single-valued, which is all the dequantization map needs.  Immutable.
     """
 
-    n: int
-    terms: tuple
+    __slots__ = ("n", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _count(self.n, "n"))
+    def __init__(self, n: int, terms):
+        n = _count(n, "n")
         seen = set()
         norm = []
-        for c, d in _terms(self.terms):
-            try:
-                c = float(c)
-            except (TypeError, ValueError, OverflowError):
-                raise DomainError(f"cannot read coefficient {_short(c)} as a real") from None
+        for c, d in _terms(terms):
+            c = _real(c, "coefficient")
             if c == 0.0 or not math.isfinite(c):
                 raise DomainError(f"coefficients must be nonzero finite reals, got {c!r}")
-            dv = _frac_vec(d, self.n)
+            dv = _frac_vec(d, n)
             if dv in seen:
                 raise DomainError(f"repeated exponent vector {_short(dv)}; combine terms first")
             seen.add(dv)
             norm.append((c, dv))
         if not norm:
             raise DomainError("polynomial needs at least one term")
-        object.__setattr__(self, "terms", tuple(norm))
+        self._set(n=n, terms=tuple(norm))
+
+    def _key(self):
+        return (self.n, self.terms)
 
     @property
     def positive(self) -> bool:
@@ -213,7 +205,7 @@ def eval_dequantized(f: GenPolynomial, x: Sequence[float], h: float) -> float:
     Returns -inf (and warns) if mixed-sign terms cancel exactly at x, and
     raises DomainError if the largest s_i or the result is not a finite float.
     """
-    _positive_finite(h, "h")
+    h = _positive_finite(h, "h")
     xs, dots = _dots(f, x)
     s = np.array([v / h + math.log(abs(c)) for v, (c, _) in zip(dots, f.terms)])
     signs = np.array([1.0 if c > 0 else -1.0 for c, _ in f.terms])
@@ -287,8 +279,7 @@ def _support_directions(n: int):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Polytope:
+class Polytope(_Frozen):
     """Convex hull of finitely many rational points, read once into integers
     scaled by the lcm of their denominators and made exact Fractions at the end.
 
@@ -296,24 +287,23 @@ class Polytope:
     endpoints; counterclockwise from the lexicographic minimum).  Higher
     dimensions keep the sorted distinct points; equality then compares exact
     support-function values on a fixed bundle of 64 integer directions, a
-    randomized but arithmetic-exact certificate.
+    randomized but arithmetic-exact certificate.  Immutable.
     """
 
-    n: int
-    vertices: tuple
+    __slots__ = ("n", "vertices")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _count(self.n, "n"))
-        pts = _items(self.vertices, "points")
+    def __init__(self, n: int, vertices):
+        n = _count(n, "n")
+        pts = _items(vertices, "points")
         if not pts:
             raise DomainError("polytope needs at least one point")
-        L, pts = _scaled(pts, self.n)
+        L, pts = _scaled(pts, n)
         pts = sorted(set(pts))
-        if self.n == 1:
+        if n == 1:
             pts = sorted({pts[0], pts[-1]})
-        elif self.n == 2:
+        elif n == 2:
             pts = _chain(pts)
-        object.__setattr__(self, "vertices", tuple(tuple(Fraction(c, L) for c in p) for p in pts))
+        self._set(n=n, vertices=tuple(tuple(Fraction(c, L) for c in p) for p in pts))
 
     @property
     def reduced(self) -> bool:
@@ -530,13 +520,11 @@ def amoeba_line_sample(h: float, samples: int) -> np.ndarray:
     """
     h = _positive_finite(h, "h")
     samples = _count(samples, "samples")
+    _allocatable(f"{samples} samples are too many to allocate", samples)
     n_theta = math.isqrt(samples - 1) + 1
     n_r = -(-samples // n_theta)
     n_r += n_r % 2
-    try:
-        j, k = np.divmod(np.arange(samples), n_theta)
-    except ValueError:
-        raise OutOfMemory(f"{samples} samples are too many to allocate") from None
+    j, k = np.divmod(np.arange(samples), n_theta)
     r = np.array([math.exp(3.0 * (2 * i + 1 - n_r) / n_r) for i in range(n_r)])[j]
     theta = [2.0 * math.pi * (i + 0.5) / n_theta for i in range(n_theta)]
     x, y = r * np.array([[math.cos(a) for a in theta], [math.sin(a) for a in theta]])[:, k]

@@ -19,7 +19,7 @@ from .dequant import CurvePiece, TropicalCurve, _rational
 from .errors import DomainError, FileFormatError, ShapeMismatch
 from .interval import IntervalMatrix
 from .linalg import Graph, SemiringMatrix
-from .semiring import NEG_INF, POS_INF, SemiringSpec, _short
+from .semiring import NEG_INF, POS_INF, SemiringSpec, _floats, _short
 from .transform import SampledFunction
 
 
@@ -85,6 +85,14 @@ def parse_frac(tok: str):
         return _rational(tok)
     except (ValueError, ZeroDivisionError):
         raise FileFormatError(f"not a rational: {_short(tok)}") from None
+
+
+def _tokens(ln: int, read, toks) -> list:
+    """[read(t) for t in toks], a fault naming the file line ln."""
+    try:
+        return list(map(read, toks))
+    except FileFormatError as e:
+        raise FileFormatError(f"line {ln}: {e}") from None
 
 
 def _data_lines(text: str):
@@ -271,7 +279,8 @@ def parse_poly(text: str):
         parts = line.split()
         if len(parts) != n + 1:
             raise FileFormatError(f"line {ln}: expected coeff and {n} exponents, got {line!r}")
-        terms.append((parse_frac(parts[0]), tuple(parse_frac(t) for t in parts[1:])))
+        c, *d = _tokens(ln, parse_frac, parts)
+        terms.append((c, tuple(d)))
     if not terms:
         raise FileFormatError("polynomial file has no terms")
     return n, terms
@@ -306,17 +315,10 @@ def parse_curve(text: str) -> TropicalCurve:
         toks = line.split(",")
         if len(toks) != 6:
             raise FileFormatError(f"line {ln}: expected 6 comma-separated fields")
-        d = (parse_frac(toks[2]), parse_frac(toks[3]))
-        if d[0].denominator != 1 or d[1].denominator != 1:
+        bx, by, dx, dy = _tokens(ln, parse_frac, toks[:4])
+        if dx.denominator != 1 or dy.denominator != 1:
             raise FileFormatError(f"line {ln}: direction must be integer")
-        pieces.append(
-            CurvePiece(
-                (parse_frac(toks[0]), parse_frac(toks[1])),
-                (int(d[0]), int(d[1])),
-                _parse_t(toks[4]),
-                _parse_t(toks[5]),
-            )
-        )
+        pieces.append(CurvePiece((bx, by), (int(dx), int(dy)), *_tokens(ln, _parse_t, toks[4:])))
     return TropicalCurve(tuple(pieces))
 
 
@@ -329,16 +331,9 @@ _POINTS_HEADER = "x,y"
 def format_points(arr) -> str:
     """The header and one x,y line per row of arr, which parse_points reads
     back: a (k, 2) array with no NaN, or ShapeMismatch or DomainError."""
-    try:
-        shape = np.shape(arr)
-    except ValueError:
-        raise ShapeMismatch("points must be a (k, 2) array, got a ragged list") from None
-    if len(shape) != 2 or shape[1] != 2:
-        raise ShapeMismatch(f"points must be a (k, 2) array, got shape {shape}")
-    try:
-        arr = np.asarray(arr, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("points must be real numbers") from None
+    arr = _floats(arr, "points", 2, "a (k, 2) array")
+    if arr.shape[1] != 2:
+        raise ShapeMismatch(f"points must be a (k, 2) array, got shape {arr.shape}")
     if not _no_nan(arr):
         raise DomainError("NaN is not a point coordinate")
     return "\n".join([_POINTS_HEADER, *_float_lines(arr, ",")]) + "\n"
@@ -353,7 +348,7 @@ def parse_points(text: str) -> np.ndarray:
         toks = line.split(",")
         if len(toks) != 2:
             raise FileFormatError(f"line {ln}: expected 2 comma-separated fields")
-        rows.append([parse_float(toks[0]), parse_float(toks[1])])
+        rows.append(_tokens(ln, parse_float, toks))
     return np.array(rows, dtype=float).reshape(len(rows), 2)
 
 
@@ -373,8 +368,7 @@ def parse_function(text: str) -> SampledFunction:
     parts = head.split()
     if len(parts) != 6 or parts[0] != "start" or parts[2] != "step" or parts[4] != "convention":
         raise FileFormatError(f"line {ln}: bad function header {head!r}")
-    start = parse_float(parts[1])
-    step = parse_float(parts[3])
+    start, step = _tokens(ln, parse_float, (parts[1], parts[3]))
     convention = parts[5]
     if convention not in ("maxplus", "minplus"):
         raise FileFormatError(f"line {ln}: unknown convention {convention!r}")

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NonConvergent, ShapeMismatch
-from .semiring import MINPLUS, SemiringSpec, _count, _Frozen, _require_idempotent, _same_spec, add, leq, mul
+from .semiring import (MINPLUS, SemiringSpec, _count, _floats, _Frozen, _real, _require_idempotent,
+                       _same_spec, _short, add, leq, mul)
 
 
 class IntervalValue(_Frozen):
@@ -26,8 +27,7 @@ class IntervalValue(_Frozen):
     __slots__ = ("lower", "upper", "spec")
 
     def __init__(self, lower: float, upper: float, spec: SemiringSpec):
-        lower = float(lower) + 0.0
-        upper = float(upper) + 0.0
+        lower, upper = _real(lower, "lower endpoint") + 0.0, _real(upper, "upper endpoint") + 0.0
         if not leq(lower, upper, spec):
             raise DomainError(f"endpoints out of order for {spec.name}: {lower!r} !<= {upper!r}")
         self._set(lower=lower, upper=upper, spec=spec)
@@ -35,7 +35,6 @@ class IntervalValue(_Frozen):
     @classmethod
     def from_numeric(cls, a: float, b: float, spec: SemiringSpec) -> "IntervalValue":
         """Build from two endpoint values in either order."""
-        a, b = float(a), float(b)
         if leq(a, b, spec):
             return cls(a, b, spec)
         return cls(b, a, spec)
@@ -45,20 +44,10 @@ class IntervalValue(_Frozen):
         return (min(self.lower, self.upper), max(self.lower, self.upper))
 
     def contains(self, x: float) -> bool:
-        x = float(x)
         return leq(self.lower, x, self.spec) and leq(x, self.upper, self.spec)
 
-    def __eq__(self, other):
-        if not isinstance(other, IntervalValue):
-            return NotImplemented
-        return (
-            self.spec.name == other.spec.name
-            and self.lower == other.lower
-            and self.upper == other.upper
-        )
-
-    def __hash__(self):
-        return hash((self.spec.name, self.lower, self.upper))
+    def _key(self):
+        return (self.spec.name, self.lower, self.upper)
 
     def __repr__(self):
         return f"IntervalValue({self.lower!r}, {self.upper!r}, spec={self.spec.name!r})"
@@ -82,6 +71,8 @@ class IntervalMatrix(_Frozen):
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: linalg.SemiringMatrix, upper: linalg.SemiringMatrix):
+        if not all(isinstance(m, linalg.SemiringMatrix) for m in (lower, upper)):
+            raise DomainError(f"endpoints must be SemiringMatrix values, got {_short(lower)}, {_short(upper)}")
         spec = _same_spec(lower, upper)
         _require_idempotent(spec, "an interval matrix")
         if lower.shape != upper.shape:
@@ -97,8 +88,11 @@ class IntervalMatrix(_Frozen):
     @classmethod
     def from_numeric(cls, a, b, spec: SemiringSpec) -> "IntervalMatrix":
         """Entrywise IntervalValue.from_numeric: endpoint arrays in either order."""
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        up = spec.add(a, b) == b
+        a, b = _floats(a, "interval bounds"), _floats(b, "interval bounds")
+        try:
+            up = spec.add(a, b) == b
+        except ValueError:
+            raise ShapeMismatch(f"interval bounds of shapes {a.shape}, {b.shape} do not broadcast") from None
         return cls.from_arrays(np.where(up, a, b), np.where(up, b, a), spec)
 
     @property
@@ -128,13 +122,8 @@ class IntervalMatrix(_Frozen):
         above = np.array_equal(spec.add(M.data, self.upper.data), self.upper.data)
         return below and above
 
-    def __eq__(self, other):
-        if not isinstance(other, IntervalMatrix):
-            return NotImplemented
-        return self.lower == other.lower and self.upper == other.upper
-
-    def __hash__(self):
-        return hash((self.lower, self.upper))
+    def _key(self):
+        return (self.lower, self.upper)
 
     def __repr__(self):
         return f"IntervalMatrix(lower={self.lower!r}, upper={self.upper!r})"

@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NegativeCycle, NonConvergent, OutOfMemory, ShapeMismatch
-from .semiring import MINPLUS, SemiringSpec, _count, _Frozen, _no_overflow, _require_idempotent, _same_spec
+from .errors import DomainError, NegativeCycle, NonConvergent, ShapeMismatch
+from .semiring import (MINPLUS, SemiringSpec, _allocatable, _count, _floats, _Frozen, _no_overflow,
+                       _require_idempotent, _same_spec)
 
 # Float64 elements per pairwise temporary in matrix_mul: 256 KiB, which stays
 # in L2 whatever the size of the problem.
@@ -32,9 +33,7 @@ class SemiringMatrix(_Frozen):
     __slots__ = ("spec", "data")
 
     def __init__(self, data, spec: SemiringSpec):
-        arr = np.array(data, dtype=float, order="C")
-        if arr.ndim != 2:
-            raise ShapeMismatch(f"matrix must be 2-D, got shape {arr.shape}")
+        arr = _floats(data, "matrix", 2)
         np.add(arr, 0.0, out=arr)  # -0.0 to +0.0, on the one copy
         if not bool(np.all(spec.contains(arr))):
             raise DomainError(f"matrix has entries outside the carrier of {spec.name}")
@@ -43,13 +42,15 @@ class SemiringMatrix(_Frozen):
 
     @classmethod
     def zeros(cls, rows: int, cols: int, spec: SemiringSpec) -> "SemiringMatrix":
+        rows, cols = _count(rows, "rows", 0), _count(cols, "cols", 0)
+        _allocatable(f"a {rows} x {cols} matrix is too large to allocate", rows, cols)
         return cls(np.full((rows, cols), spec.zero), spec)
 
     @classmethod
     def identity(cls, n: int, spec: SemiringSpec) -> "SemiringMatrix":
-        arr = np.full((n, n), spec.zero)
-        np.fill_diagonal(arr, spec.one)
-        return cls(arr, spec)
+        n = _count(n, "n", 0)
+        _allocatable(f"a {n} x {n} matrix is too large to allocate", n, n)
+        return cls(np.where(np.eye(n, dtype=bool), spec.one, spec.zero), spec)
 
     @property
     def rows(self) -> int:
@@ -66,13 +67,8 @@ class SemiringMatrix(_Frozen):
     def __getitem__(self, idx):
         return self.data[idx]
 
-    def __eq__(self, other):
-        if not isinstance(other, SemiringMatrix):
-            return NotImplemented
-        return self.spec.name == other.spec.name and np.array_equal(self.data, other.data)
-
-    def __hash__(self):
-        return hash((self.spec.name, self.data.tobytes(), self.data.shape))
+    def _key(self):
+        return (self.spec.name, self.data.tobytes(), self.shape)
 
     def __repr__(self):
         return f"SemiringMatrix({self.data.tolist()!r}, spec={self.spec.name!r})"
@@ -321,20 +317,22 @@ def solve_bellman_gauss_seidel(H, F, max_iter=None, full_output=False):
 
 def _edge_columns(edges, k: int) -> list:
     """The k columns of an edge list: the fields of a record array, or the
-    columns, as floats, of a sequence of k-tuples."""
+    float columns of a sequence of k-tuples, else ShapeMismatch."""
     if isinstance(edges, np.ndarray) and edges.dtype.names:
         return [edges[f] for f in edges.dtype.names]
-    rows = np.array(edges, dtype=float)
-    return list(rows.reshape(len(rows), k).T)
+    rows = _floats(edges, "edges", form=f"{k}-tuples")
+    if rows.shape != (0,) and rows.shape[1:] != (k,):
+        raise ShapeMismatch(f"edges must be {k}-tuples, got shape {rows.shape}")
+    return list(rows.reshape(-1, k).T)
 
 
 def _node_ids(n: int, src, dst):
     """src and dst as int64 arrays of node ids 0..n-1; DomainError, naming
     the first edge at fault, for an id that is NaN, fractional or out of
-    range."""
+    range.  No id reaches 2**63, the end of int64; beyond float64, n is no float."""
     ok = np.ones(len(src), dtype=bool)
     for ids in (src, dst):
-        ok &= (ids >= 0) & (ids < n) & (ids == np.trunc(ids))  # NaN fails all three
+        ok &= (ids >= 0) & (ids < min(n, 2**63)) & (ids == np.trunc(ids))  # NaN fails all three
     if not ok.all():
         i = int(np.argmin(ok))
         s, d = (repr(float(x)).removesuffix(".0") for x in (src[i], dst[i]))
@@ -356,7 +354,7 @@ class Graph(_Frozen):
         n = _count(n, "n")
         src, dst, w = _edge_columns(edges, 3)
         src, dst = _node_ids(n, src, dst)
-        w = np.array(w, dtype=float)
+        w = _floats(w, "edge weights", 1)
         if not np.isfinite(w).all():
             raise DomainError(f"edge weight must be finite, got {float(w[~np.isfinite(w)][0])!r}")
         for a in (src, dst, w):
@@ -368,13 +366,8 @@ class Graph(_Frozen):
         """The edges as (src, dst, weight) triples of int, int, float."""
         return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
 
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
+    def _key(self):
+        return (self.n, self.edges)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges!r})"
@@ -388,10 +381,8 @@ def _accumulate(n: int, src, dst, w, spec: SemiringSpec) -> np.ndarray:
     one edge at a time would give.  An n x n matrix that numpy cannot index
     is OutOfMemory.
     """
-    try:
-        out = np.full(n * n, spec.zero)
-    except ValueError:
-        raise OutOfMemory(f"a {n} x {n} matrix is too large to allocate") from None
+    _allocatable(f"a {n} x {n} matrix is too large to allocate", n, n)
+    out = np.full(n * n, spec.zero)
     key = src * n + dst
     order = np.argsort(key, kind="stable")  # by arc, in edge order within one
     k = key[order]

@@ -27,15 +27,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NotIdempotent, SpecMismatch
+from .errors import DomainError, NotIdempotent, OutOfMemory, ShapeMismatch, SpecMismatch
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
 class _Frozen:
-    """Base of the slotted value types: __init__ sets the fields through
-    _set, and assignment or deletion raises FrozenInstanceError."""
+    """Base of the value types.  __init__ validates its arguments and sets
+    the fields through _set; afterwards assignment or deletion raises
+    FrozenInstanceError.  Two values are equal, and hash alike, when they
+    have the same type and the same _key(); copy, deepcopy and pickle
+    restore the fields through _set, and a copied array read-only again."""
 
     __slots__ = ()
 
@@ -43,11 +46,29 @@ class _Frozen:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # (None, {slot: value}), from object.__reduce_ex__
+        for value in state[1].values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self._set(**state[1])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 _REPR = reprlib.Repr()
@@ -66,13 +87,6 @@ def _short(x) -> str:
     return r if len(r) <= _SHORT else r[:_SHORT - 3] + "..."
 
 
-def _positive_finite(x, what: str) -> float:
-    # an exact comparison: float(x) would overflow for an int beyond float64
-    if isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x <= sys.float_info.max:
-        return float(x)
-    raise DomainError(f"{what} must be a positive finite real, got {_short(x)}")
-
-
 def _real(x, what: str) -> float:
     """float(x), or DomainError for a bool, as _count refuses one, and for
     a value float cannot read."""
@@ -84,11 +98,47 @@ def _real(x, what: str) -> float:
     raise DomainError(f"cannot read {what} {_short(x)} as a real")
 
 
+def _positive_finite(x, what: str) -> float:
+    """_real(x), if it is positive and finite; else DomainError."""
+    x = _real(x, what)
+    if 0 < x <= sys.float_info.max:
+        return x
+    raise DomainError(f"{what} must be a positive finite real, got {_short(x)}")
+
+
 def _count(x, what: str, least: int = 1) -> int:
     whole = isinstance(x, (int, np.integer)) or (isinstance(x, float) and x.is_integer())
     if whole and not isinstance(x, bool) and x >= least:
         return int(x)
     raise DomainError(f"{what} must be an integer >= {least}, got {_short(x)}")
+
+
+def _floats(x, what: str, ndim=None, form=None) -> np.ndarray:
+    """x read into one new C-ordered float64 array.  ShapeMismatch, saying
+    what must be form (by default "<ndim>-D"), if x is ragged or has not
+    ndim dimensions; DomainError for entries that are not real numbers."""
+    form = form or (f"{ndim}-D" if ndim else "an array")
+    try:
+        a = np.array(x, dtype=float, order="C")
+    except (TypeError, ValueError, OverflowError):
+        try:
+            np.shape(x)
+        except ValueError:
+            raise ShapeMismatch(f"{what} must be {form}, got a ragged list") from None
+        raise DomainError(f"{what} must be real numbers") from None
+    if ndim and a.ndim != ndim:
+        raise ShapeMismatch(f"{what} must be {form}, got shape {a.shape}")
+    return a
+
+
+def _allocatable(message: str, *shape) -> None:
+    """OutOfMemory(message) unless numpy can index a float64 or int64 array
+    of this shape, checked before anything is allocated: numpy refuses one
+    whose bytes overflow its index type, but near 2**63 elements np.arange
+    returns an empty array instead."""
+    limit = np.iinfo(np.intp).max
+    if max(shape) > limit or 8 * math.prod(shape) > limit:
+        raise OutOfMemory(message)
 
 
 def deformed_add(u, v, h):
@@ -101,17 +151,18 @@ def deformed_add(u, v, h):
     neutral and never produces a NaN.
     """
     h = _positive_finite(h, "deformation parameter")
-    ua = np.asarray(u, dtype=float)
-    va = np.asarray(v, dtype=float)
+    ua, va = _floats(u, "deformed sum operands"), _floats(v, "deformed sum operands")
     if not (_contains_maxplus(ua).all() and _contains_maxplus(va).all()):
         raise DomainError("deformed sum operands must lie in R u {-inf}")
-    hi = np.maximum(ua, va)
-    lo = np.minimum(ua, va)
+    try:
+        hi, lo = np.maximum(ua, va), np.minimum(ua, va)
+    except ValueError:
+        raise ShapeMismatch(f"deformed sum operands of shapes {ua.shape}, {va.shape} do not broadcast") from None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is -inf, and exp(-inf) is 0
         t = (lo - hi) / h
     with _no_overflow("the deformed sum"):
         out = np.where(np.isneginf(lo), hi, hi + h * np.log1p(np.exp(t)))
-    if np.ndim(u) == 0 and np.ndim(v) == 0:
+    if ua.ndim == 0 and va.ndim == 0:
         return float(out) + 0.0
     return out + 0.0
 
@@ -318,9 +369,8 @@ def get_semiring(name: str) -> SemiringSpec:
         return _BUILTIN[name]
     if name.startswith("deformed:"):
         try:
-            h = float(name.split(":", 1)[1])
-            return deformed_spec(h)
-        except (ValueError, DomainError):
+            return deformed_spec(name.split(":", 1)[1])
+        except DomainError:
             raise ValueError(f"bad deformation parameter in {name!r}") from None
     if name in _REGISTRY:
         return _REGISTRY[name]
@@ -361,7 +411,7 @@ def _no_overflow(what: str):
 
 
 def _require_member(x, spec: SemiringSpec) -> float:
-    x = float(x)
+    x = _real(x, "operand")
     if not bool(spec.contains(x)):
         raise DomainError(f"{x!r} is not in the carrier of {spec.name}")
     return x
@@ -426,6 +476,7 @@ def check_axioms(spec: SemiringSpec, trials: int = 10000, seed: int = 0) -> dict
     if spec.sample is None:
         raise ValueError(f"{spec.name} has no sampler; cannot audit laws")
     trials = _count(trials, "trials")
+    _allocatable(f"{trials} trials are too many to allocate", trials)
     rng = np.random.default_rng(_count(seed, "seed", 0))
     x = spec.sample(rng, trials)
     y = spec.sample(rng, trials)

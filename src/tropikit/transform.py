@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridMismatch
 from .linalg import _BLOCK
-from .semiring import MAXPLUS, MINPLUS, SemiringSpec, _count, _no_overflow, _positive_finite, _real
+from .semiring import (MAXPLUS, MINPLUS, SemiringSpec, _allocatable, _count, _floats, _Frozen, _no_overflow,
+                       _positive_finite, _real)
 
 # The idempotent semiring each convention integrates in.
 _SPECS = {"maxplus": MAXPLUS, "minplus": MINPLUS}
@@ -36,31 +36,26 @@ def _check_grid(start, step, count: int):
     return start, step
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """Function values on the uniform grid start + step*i, i = 0..len-1."""
+class SampledFunction(_Frozen):
+    """Function values on the uniform grid start + step*i, i = 0..len-1;
+    immutable, with a read-only values array."""
 
-    start: float
-    step: float
-    values: np.ndarray
-    convention: str = "maxplus"
+    __slots__ = ("start", "step", "values", "convention")
 
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
+    def __init__(self, start: float, step: float, values, convention: str = "maxplus"):
+        vals = _floats(values, "values", 1, "a nonempty 1-D array")
+        if vals.size == 0:
             raise DomainError("values must be a nonempty 1-D array")
-        start, step = _check_grid(self.start, self.step, vals.size)
-        if self.convention not in _SPECS:
+        start, step = _check_grid(start, step, vals.size)
+        if not (isinstance(convention, str) and convention in _SPECS):
             raise DomainError(f"convention must be one of {tuple(_SPECS)}")
         if np.any(np.isnan(vals)):
             raise DomainError("NaN is not a carrier value")
-        if not np.all(_SPECS[self.convention].contains(vals)):
-            raise DomainError(f"{self.convention} functions cannot take that infinity")
-        vals = vals + 0.0
+        if not np.all(_SPECS[convention].contains(vals)):
+            raise DomainError(f"{convention} functions cannot take that infinity")
+        np.add(vals, 0.0, out=vals)  # -0.0 to +0.0, on the one copy
         vals.setflags(write=False)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "values", vals)
+        self._set(start=start, step=step, values=vals, convention=convention)
 
     def __len__(self):
         return self.values.size
@@ -68,18 +63,8 @@ class SampledFunction:
     def grid(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.values.size)
 
-    def __eq__(self, other):
-        if not isinstance(other, SampledFunction):
-            return NotImplemented
-        return (
-            self.start == other.start
-            and self.step == other.step
-            and self.convention == other.convention
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self):
-        return hash((self.start, self.step, self.convention, self.values.tobytes()))
+    def _key(self):
+        return (self.start, self.step, self.convention, self.values.tobytes())
 
 
 def _same_convention(phi: SampledFunction, psi: SampledFunction) -> SemiringSpec:
@@ -384,6 +369,7 @@ def legendre(
     if phi.convention != "maxplus":
         raise DomainError("the slope transform is defined for maxplus functions")
     xi_count = _count(xi_count, "xi_count")
+    _allocatable(f"{xi_count} slopes are too many to allocate", xi_count)
     xi_start, xi_step = _check_grid(xi_start, xi_step, xi_count)
     xs, xis = phi.grid(), xi_start + xi_step * np.arange(xi_count)
     X, V, _, ex, s = _frame(xs, phi.values, 0.0)
@@ -427,8 +413,8 @@ def hopf_lax_evolve(s0: SampledFunction, t: float, m: float = 1.0) -> SampledFun
     """
     if s0.convention != "minplus":
         raise DomainError("the evolution acts on minplus initial data")
-    t = _positive_finite(_real(t, "time"), "time")
-    m = _positive_finite(_real(m, "mass"), "mass")
+    t = _positive_finite(t, "time")
+    m = _positive_finite(m, "mass")
     c = m / (2.0 * t)
     if not 0.0 < c < math.inf:
         how = "underflows to 0" if c == 0.0 else "overflows"

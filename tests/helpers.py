@@ -18,6 +18,8 @@ from tropikit import (
     DegenerateInput,
     DomainError,
     FileFormatError,
+    GenPolynomial,
+    Graph,
     GridMismatch,
     IntervalMatrix,
     IntervalValue,
@@ -671,3 +673,89 @@ def reference_parser() -> argparse.ArgumentParser:
     q.add_argument("--v", type=float, default=0.0)
 
     return p
+
+
+# --- equality and hashing before the frozen base defined them ------------------
+#
+# The __eq__/__hash__ pairs the value types wrote for themselves, verbatim,
+# and the pair @dataclass(frozen=True) made for GenPolynomial.
+
+
+def semiring_matrix_eq(self, other):
+    if not isinstance(other, SemiringMatrix):
+        return NotImplemented
+    return self.spec.name == other.spec.name and np.array_equal(self.data, other.data)
+
+
+def semiring_matrix_hash(self):
+    return hash((self.spec.name, self.data.tobytes(), self.data.shape))
+
+
+def interval_value_eq(self, other):
+    if not isinstance(other, IntervalValue):
+        return NotImplemented
+    return (
+        self.spec.name == other.spec.name
+        and self.lower == other.lower
+        and self.upper == other.upper
+    )
+
+
+def interval_value_hash(self):
+    return hash((self.spec.name, self.lower, self.upper))
+
+
+def interval_matrix_eq(self, other):
+    if not isinstance(other, IntervalMatrix):
+        return NotImplemented
+    return self.lower == other.lower and self.upper == other.upper
+
+
+def interval_matrix_hash(self):
+    return hash((self.lower, self.upper))
+
+
+def graph_eq(self, other):
+    if not isinstance(other, Graph):
+        return NotImplemented
+    return self.n == other.n and self.edges == other.edges
+
+
+def graph_hash(self):
+    return hash((self.n, self.edges))
+
+
+def sampled_function_eq(self, other):
+    if not isinstance(other, SampledFunction):
+        return NotImplemented
+    return (
+        self.start == other.start
+        and self.step == other.step
+        and self.convention == other.convention
+        and np.array_equal(self.values, other.values)
+    )
+
+
+def sampled_function_hash(self):
+    return hash((self.start, self.step, self.convention, self.values.tobytes()))
+
+
+def gen_polynomial_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return (self.n, self.terms) == (other.n, other.terms)
+
+
+def gen_polynomial_hash(self):
+    return hash((self.n, self.terms))
+
+
+# type -> (eq, hash) of the parent
+EQUALITY_ORACLES = {
+    SemiringMatrix: (semiring_matrix_eq, semiring_matrix_hash),
+    IntervalValue: (interval_value_eq, interval_value_hash),
+    IntervalMatrix: (interval_matrix_eq, interval_matrix_hash),
+    Graph: (graph_eq, graph_hash),
+    SampledFunction: (sampled_function_eq, sampled_function_hash),
+    GenPolynomial: (gen_polynomial_eq, gen_polynomial_hash),
+}

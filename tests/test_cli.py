@@ -256,6 +256,25 @@ def test_amoeba_beyond_numpy_largest_array_is_one_error_line(samples, capsys):
     assert (r.stdout, r.stderr) == (b"", err.encode())
 
 
+HUGE_COUNTS = [
+    (["axioms", "--semiring", "minplus", "--trials"], "trials are too many to allocate"),
+    (["legendre", "--input", str(DATA / "phi.txt"), "--xi-start", "0", "--xi-step", "1", "--xi-count"],
+     "slopes are too many to allocate"),
+]
+
+
+@pytest.mark.parametrize("count", [10**23, 2**63])
+@pytest.mark.parametrize("argv,message", HUGE_COUNTS, ids=["axioms", "legendre"])
+def test_a_count_beyond_numpy_largest_array_is_one_error_line(argv, message, count, capsys):
+    # the count is refused before anything is allocated
+    assert cli.main([*argv, str(count)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"ERROR OutOfMemory: {count} {message}\n")
+    r = run_cli([*argv, str(count)])
+    assert r.returncode == 1
+    assert (r.stdout, r.stderr) == (b"", err.encode())
+
+
 def test_newton_coefficient_beyond_float_is_one_error_line(tmp_path, capsys):
     path = tmp_path / "p.txt"
     path.write_text("n 1\n1e400 1\n1 0\n")
@@ -272,4 +291,4 @@ def test_newton_exponent_with_a_huge_decimal_exponent_is_one_error_line(tmp_path
     path.write_text("n 1\n1 1e99999999\n1 0\n")
     assert cli.main(["newton", "--poly", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "ERROR FileFormatError: not a rational: '1e99999999'\n")
+    assert (out, err) == ("", "ERROR FileFormatError: line 2: not a rational: '1e99999999'\n")

@@ -230,7 +230,7 @@ def test_rational_with_a_huge_decimal_exponent_is_refused_at_once(parse, text, t
     with pytest.raises(FileFormatError) as e:
         parse(text)
     assert time.perf_counter() - start < 0.5
-    assert str(e.value) == f"not a rational: {tok!r}"
+    assert str(e.value) == f"line 2: not a rational: {tok!r}"
 
 
 @pytest.mark.parametrize("parse,line", [
@@ -241,7 +241,7 @@ def test_a_long_bad_token_is_cut_in_the_message(parse, line):
     tok = "1" * 3000 + "x"
     with pytest.raises(FileFormatError) as e:
         parse(line.format(tok))
-    assert str(e.value) == f"not a rational: {_short(tok)}"
+    assert str(e.value) == f"line 2: not a rational: {_short(tok)}"
     assert len(str(e.value)) < 100
 
 
@@ -791,6 +791,16 @@ def test_every_fault_names_its_file_line():
          "line 6: not a number: '1 2'"),
         (parse_function, head + "start 0 step 1 convention avg\n1\n",
          "line 3: unknown convention 'avg'"),
+        (parse_function, head + "start x step 1 convention maxplus\n1\n", "line 3: not a number: 'x'"),
+        (parse_function, head + "start 0 step nan convention maxplus\n1\n",
+         "line 3: NaN is not a carrier value"),
+        (parse_points, head + "x,y\n1,2\n\n# c\n1,z\n", "line 7: not a number: 'z'"),
+        (parse_points, head + "x,y\n\nnan,2\n", "line 5: NaN is not a carrier value"),
+        (parse_poly, head + "n 1\n1 2\n\n1 x\n", "line 6: not a rational: 'x'"),
+        (parse_poly, head + "n 2\n1/0 2 1\n", "line 4: not a rational: '1/0'"),
+        (parse_curve, head + _HEADER + "\n0/1,0/1,1/1,1/1,0/1,inf\n0/1,x,1/1,0/1,0/1,inf\n",
+         "line 6: not a rational: 'x'"),
+        (parse_curve, head + _HEADER + "0/1,0/1,1/1,1/1,y,inf\n", "line 4: not a rational: 'y'"),
     ]
     for parse, text, want in cases:
         with pytest.raises(FileFormatError) as got:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -262,9 +263,9 @@ def test_counts_are_integers_from_their_least(what, least, call, bad):
 _S0 = SampledFunction(0.0, 1.0, [0.0, 1.0], "minplus")
 # (the entry point called with one real, the start of the message of a refusal)
 REALS = [
-    (deformed_spec, "deformation parameter must be a positive finite real, got"),
-    (lambda x: log_h((2.0,), x), "h must be a positive finite real, got"),
-    (lambda x: amoeba_line_sample(x, 4), "h must be a positive finite real, got"),
+    (deformed_spec, "cannot read deformation parameter"),
+    (lambda x: log_h((2.0,), x), "cannot read h"),
+    (lambda x: amoeba_line_sample(x, 4), "cannot read h"),
     (lambda x: hopf_lax_evolve(_S0, x), "cannot read time"),
     (lambda x: hopf_lax_evolve(_S0, 1.0, x), "cannot read mass"),
     (lambda x: scalar_mul(x, _PHI), "cannot read scalar"),
@@ -283,9 +284,8 @@ def test_reals_are_read_by_one_rule(call, want, bad):
         with pytest.raises(DomainError) as e:
             call(bad)
     assert str(e.value).startswith(want)
-    for ok in (0.5, 2, np.float32(0.5), np.int64(2)):
-        if "positive finite" not in want or isinstance(ok, (int, float)):  # numpy scalars where float() reads
-            call(ok)
+    for ok in (0.5, 2, np.float32(0.5), np.int64(2), Fraction(1, 2)):
+        call(ok)
 
 
 def test_reals_read_today_keep_their_messages():
