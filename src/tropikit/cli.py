@@ -51,10 +51,7 @@ def _positive_float(tok: str) -> float:
 
 
 def _float_list(tok: str):
-    try:
-        vals = [float(t) for t in tok.split(",") if t]
-    except ValueError:
-        vals = []
+    vals = [_positive_float(t) for t in tok.split(",") if t]
     if not vals:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {tok!r}")
     return vals

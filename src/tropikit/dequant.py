@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AmbiguousLimit, CancellationAtPoint, DegenerateInput, DimensionMismatch, DomainError
-from .semiring import (NEG_INF, POS_INF, _allocatable, _count, _Frozen, _no_overflow, _positive_finite,
-                       _real, _short)
+from .semiring import (NEG_INF, POS_INF, _allocatable, _count, _Frozen, _no_overflow, _operands,
+                       _positive_finite, _real, _short)
 
 
 # Fraction reads a decimal exponent e by forming 10**e exactly, which takes
@@ -153,32 +153,29 @@ class GenPolynomial(_Frozen):
         return [d for _, d in self.terms]
 
 
-def poly_add(f: GenPolynomial, g: GenPolynomial) -> GenPolynomial:
-    """f + g with like exponents combined; exact float zeros are dropped."""
-    if f.n != g.n:
-        raise DimensionMismatch(f"mixed dimensions {f.n} and {g.n}")
+def _collected(n: int, terms, what: str) -> GenPolynomial:
+    """The n-variable polynomial of the (coefficient, exponents) pairs terms,
+    the coefficients of like exponents summed in order and exact float zeros
+    dropped; DomainError, naming the what, if none is left."""
     acc = {}
-    for c, d in f.terms + g.terms:
+    for c, d in terms:
         acc[d] = acc.get(d, 0.0) + c
     terms = sorted((c, d) for d, c in acc.items() if c != 0.0)
     if not terms:
-        raise DomainError("sum cancelled to the zero polynomial")
-    return GenPolynomial(f.n, tuple((c, d) for c, d in terms))
+        raise DomainError(f"{what} cancelled to the zero polynomial")
+    return GenPolynomial(n, terms)
+
+
+def poly_add(f: GenPolynomial, g: GenPolynomial) -> GenPolynomial:
+    """f + g with like exponents combined; exact float zeros are dropped."""
+    return _collected(_operands(GenPolynomial, f, g), f.terms + g.terms, "sum")
 
 
 def poly_mul(f: GenPolynomial, g: GenPolynomial) -> GenPolynomial:
     """f * g; exponent vectors add, coefficients of like terms accumulate."""
-    if f.n != g.n:
-        raise DimensionMismatch(f"mixed dimensions {f.n} and {g.n}")
-    acc = {}
-    for cf, df in f.terms:
-        for cg, dg in g.terms:
-            key = tuple(a + b for a, b in zip(df, dg))
-            acc[key] = acc.get(key, 0.0) + cf * cg
-    terms = sorted((c, d) for d, c in acc.items() if c != 0.0)
-    if not terms:
-        raise DomainError("product cancelled to the zero polynomial")
-    return GenPolynomial(f.n, tuple((c, d) for c, d in terms))
+    n = _operands(GenPolynomial, f, g)
+    return _collected(n, ((cf * cg, tuple(a + b for a, b in zip(df, dg)))
+                          for cf, df in f.terms for cg, dg in g.terms), "product")
 
 
 def _dots(f: GenPolynomial, x: Sequence[float]) -> tuple:
@@ -186,7 +183,7 @@ def _dots(f: GenPolynomial, x: Sequence[float]) -> tuple:
     the float dot products (d_i, xs); DomainError unless their maximum is a
     finite float."""
     xs = _finite_vec(x, float, "evaluation point")
-    if len(xs) != f.n:
+    if len(xs) != _operands(GenPolynomial, f):
         raise DimensionMismatch(f"point has {len(xs)} coordinates, polynomial has {f.n}")
     try:
         dots = [sum(float(dk) * xk for dk, xk in zip(d, xs)) for _, d in f.terms]
@@ -332,9 +329,7 @@ class Polytope(_Frozen):
 
 def polytope_add(P: Polytope, Q: Polytope) -> Polytope:
     """(+) of the exponent-set semiring: convex hull of the union."""
-    if P.n != Q.n:
-        raise DimensionMismatch(f"mixed dimensions {P.n} and {Q.n}")
-    return Polytope(P.n, P.vertices + Q.vertices)
+    return Polytope(_operands(Polytope, P, Q), P.vertices + Q.vertices)
 
 
 def _minkowski_2d(A, B):
@@ -364,12 +359,11 @@ def _minkowski_2d(A, B):
 
 def polytope_mul(P: Polytope, Q: Polytope) -> Polytope:
     """(x) of the exponent-set semiring: the Minkowski sum."""
-    if P.n != Q.n:
-        raise DimensionMismatch(f"mixed dimensions {P.n} and {Q.n}")
-    if P.n == 2 and len(P.vertices) > 1 and len(Q.vertices) > 1:
+    n = _operands(Polytope, P, Q)
+    if n == 2 and len(P.vertices) > 1 and len(Q.vertices) > 1:
         return Polytope(2, _minkowski_2d(P.vertices, Q.vertices))
     sums = [tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices]
-    return Polytope(P.n, sums)
+    return Polytope(n, sums)
 
 
 def newton_set(f: GenPolynomial) -> Polytope:
@@ -378,7 +372,7 @@ def newton_set(f: GenPolynomial) -> Polytope:
     This is also the subdifferential at 0 of the dequantized limit
     max_i (d_i, x); see Polytope.reduced for its vertex list.
     """
-    return Polytope(f.n, [d for _, d in f.terms])
+    return Polytope(_operands(GenPolynomial, f), [d for _, d in f.terms])
 
 
 # --- tropical curves in the plane --------------------------------------------

@@ -19,8 +19,8 @@ from .dequant import CurvePiece, TropicalCurve, _rational
 from .errors import DomainError, FileFormatError, ShapeMismatch
 from .interval import IntervalMatrix
 from .linalg import Graph, SemiringMatrix
-from .semiring import NEG_INF, POS_INF, SemiringSpec, _floats, _short
-from .transform import SampledFunction
+from .semiring import NEG_INF, POS_INF, SemiringSpec, _floats, _operands, _short
+from .transform import _SPECS, SampledFunction
 
 
 def fmt_float(x: float) -> str:
@@ -194,6 +194,7 @@ def parse_interval_graph(text: str):
 
 
 def format_matrix(M: SemiringMatrix) -> str:
+    _operands(SemiringMatrix, M)
     return "\n".join(_float_lines(M.data, "\t")) + "\n"
 
 
@@ -252,6 +253,7 @@ def parse_matrix(text: str, spec: SemiringSpec) -> SemiringMatrix:
 
 
 def format_interval_matrix(M: IntervalMatrix) -> str:
+    _operands(IntervalMatrix, M)
     lo, hi = M.numeric_bounds()
     # each row interleaves lower and upper bounds: lo[i, 0], hi[i, 0], lo[i, 1], ...
     cells = np.stack((lo, hi), axis=2).reshape(lo.shape[0], 2 * lo.shape[1])
@@ -301,6 +303,7 @@ def _parse_t(tok: str):
 
 
 def format_curve(curve: TropicalCurve) -> str:
+    _operands(TropicalCurve, curve)
     rows = (",".join([*map(fmt_frac, (*p.base, *p.direction)), _fmt_t(p.t0), _fmt_t(p.t1)])
             for p in curve.pieces)
     return "\n".join([_CURVE_HEADER, *rows]) + "\n"
@@ -356,6 +359,7 @@ def parse_points(text: str) -> np.ndarray:
 
 
 def format_function(f: SampledFunction) -> str:
+    _operands(SampledFunction, f)
     head = f"start {fmt_float(f.start)} step {fmt_float(f.step)} convention {f.convention}"
     return "\n".join([head, *_fmt_cells(f.values).tolist()]) + "\n"
 
@@ -370,7 +374,7 @@ def parse_function(text: str) -> SampledFunction:
         raise FileFormatError(f"line {ln}: bad function header {head!r}")
     start, step = _tokens(ln, parse_float, (parts[1], parts[3]))
     convention = parts[5]
-    if convention not in ("maxplus", "minplus"):
+    if convention not in _SPECS:
         raise FileFormatError(f"line {ln}: unknown convention {convention!r}")
     if len(lines) == 1:
         raise FileFormatError("function file has no samples")

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NonConvergent, ShapeMismatch
-from .semiring import (MINPLUS, SemiringSpec, _count, _floats, _Frozen, _real, _require_idempotent,
-                       _same_spec, _short, add, leq, mul)
+from .semiring import (MINPLUS, SemiringSpec, _count, _floats, _Frozen, _operands, _real, _require_idempotent,
+                       add, leq, mul)
 
 
 class IntervalValue(_Frozen):
@@ -55,13 +55,13 @@ class IntervalValue(_Frozen):
 
 def interval_add(x: IntervalValue, y: IntervalValue) -> IntervalValue:
     """Endpointwise (+); the tightest interval containing all pointwise sums."""
-    spec = _same_spec(x, y)
+    spec = _operands(IntervalValue, x, y)
     return IntervalValue(add(x.lower, y.lower, spec), add(x.upper, y.upper, spec), spec)
 
 
 def interval_mul(x: IntervalValue, y: IntervalValue) -> IntervalValue:
     """Endpointwise (x); monotonicity of the product keeps endpoints ordered."""
-    spec = _same_spec(x, y)
+    spec = _operands(IntervalValue, x, y)
     return IntervalValue(mul(x.lower, y.lower, spec), mul(x.upper, y.upper, spec), spec)
 
 
@@ -71,9 +71,7 @@ class IntervalMatrix(_Frozen):
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: linalg.SemiringMatrix, upper: linalg.SemiringMatrix):
-        if not all(isinstance(m, linalg.SemiringMatrix) for m in (lower, upper)):
-            raise DomainError(f"endpoints must be SemiringMatrix values, got {_short(lower)}, {_short(upper)}")
-        spec = _same_spec(lower, upper)
+        spec = _operands(linalg.SemiringMatrix, lower, upper)
         _require_idempotent(spec, "an interval matrix")
         if lower.shape != upper.shape:
             raise ShapeMismatch(f"endpoint shapes differ: {lower.shape} vs {upper.shape}")
@@ -88,6 +86,7 @@ class IntervalMatrix(_Frozen):
     @classmethod
     def from_numeric(cls, a, b, spec: SemiringSpec) -> "IntervalMatrix":
         """Entrywise IntervalValue.from_numeric: endpoint arrays in either order."""
+        _operands(SemiringSpec, spec)
         a, b = _floats(a, "interval bounds"), _floats(b, "interval bounds")
         try:
             up = spec.add(a, b) == b
@@ -115,7 +114,7 @@ class IntervalMatrix(_Frozen):
 
     def contains_point(self, M: linalg.SemiringMatrix) -> bool:
         """Entrywise standard-order containment of a point matrix."""
-        if M.shape != self.shape or M.spec.name != self.spec.name:
+        if _operands(linalg.SemiringMatrix, M).name != self.spec.name or M.shape != self.shape:
             return False
         spec = self.spec
         below = np.array_equal(spec.add(self.lower.data, M.data), M.data)
@@ -125,15 +124,14 @@ class IntervalMatrix(_Frozen):
     def _key(self):
         return (self.lower, self.upper)
 
-    def __repr__(self):
-        return f"IntervalMatrix(lower={self.lower!r}, upper={self.upper!r})"
-
 
 def interval_matrix_add(A: IntervalMatrix, B: IntervalMatrix) -> IntervalMatrix:
+    _operands(IntervalMatrix, A, B)
     return IntervalMatrix(linalg.matrix_add(A.lower, B.lower), linalg.matrix_add(A.upper, B.upper))
 
 
 def interval_matrix_mul(A: IntervalMatrix, B: IntervalMatrix) -> IntervalMatrix:
+    _operands(IntervalMatrix, A, B)
     return IntervalMatrix(linalg.matrix_mul(A.lower, B.lower), linalg.matrix_mul(A.upper, B.upper))
 
 
@@ -164,6 +162,7 @@ def interval_bellman(
     ordered, so the pair is again a valid interval matrix, and each endpoint
     is attained by an admissible point problem.
     """
+    _operands(IntervalMatrix, H, F)
     X = []
     for end, h, f in (("lower", H.lower, F.lower), ("upper", H.upper, F.upper)):
         try:

@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, NegativeCycle, NonConvergent, ShapeMismatch
-from .semiring import (MINPLUS, SemiringSpec, _allocatable, _count, _floats, _Frozen, _no_overflow,
-                       _require_idempotent, _same_spec)
+from .semiring import (MINPLUS, SemiringSpec, _allocatable, _count, _floats, _Frozen, _no_overflow, _operands,
+                       _require_idempotent)
 
 # Float64 elements per pairwise temporary in matrix_mul: 256 KiB, which stays
 # in L2 whatever the size of the problem.
@@ -33,6 +33,7 @@ class SemiringMatrix(_Frozen):
     __slots__ = ("spec", "data")
 
     def __init__(self, data, spec: SemiringSpec):
+        _operands(SemiringSpec, spec)
         arr = _floats(data, "matrix", 2)
         np.add(arr, 0.0, out=arr)  # -0.0 to +0.0, on the one copy
         if not bool(np.all(spec.contains(arr))):
@@ -43,12 +44,14 @@ class SemiringMatrix(_Frozen):
     @classmethod
     def zeros(cls, rows: int, cols: int, spec: SemiringSpec) -> "SemiringMatrix":
         rows, cols = _count(rows, "rows", 0), _count(cols, "cols", 0)
+        _operands(SemiringSpec, spec)
         _allocatable(f"a {rows} x {cols} matrix is too large to allocate", rows, cols)
         return cls(np.full((rows, cols), spec.zero), spec)
 
     @classmethod
     def identity(cls, n: int, spec: SemiringSpec) -> "SemiringMatrix":
         n = _count(n, "n", 0)
+        _operands(SemiringSpec, spec)
         _allocatable(f"a {n} x {n} matrix is too large to allocate", n, n)
         return cls(np.where(np.eye(n, dtype=bool), spec.one, spec.zero), spec)
 
@@ -76,7 +79,7 @@ class SemiringMatrix(_Frozen):
 
 def matrix_add(A: SemiringMatrix, B: SemiringMatrix) -> SemiringMatrix:
     """Entrywise (+)."""
-    spec = _same_spec(A, B)
+    spec = _operands(SemiringMatrix, A, B)
     if A.shape != B.shape:
         raise ShapeMismatch(f"cannot add shapes {A.shape} and {B.shape}")
     return SemiringMatrix(spec.add(A.data, B.data), spec)
@@ -87,7 +90,7 @@ def matrix_mul(A: SemiringMatrix, B: SemiringMatrix) -> SemiringMatrix:
     whose pairwise temporary fits _BLOCK elements (one row at least), each
     output row reduced whole.  DomainError if a product of finite entries
     overflows float64, in any pair, winning or not."""
-    spec = _same_spec(A, B)
+    spec = _operands(SemiringMatrix, A, B)
     if A.cols != B.rows:
         raise ShapeMismatch(f"cannot multiply shapes {A.shape} and {B.shape}")
     b = B.data[None]
@@ -128,7 +131,7 @@ def kleene_star(A: SemiringMatrix) -> SemiringMatrix:
     except on the diagonal: an entry there is a cycle, and a cycle whose
     weight overflows is a divergent one, which the pivot checks judge.
     """
-    _require_idempotent(A.spec, "kleene_star")
+    _require_idempotent(_operands(SemiringMatrix, A), "kleene_star")
     if A.rows != A.cols:
         raise ShapeMismatch(f"kleene_star needs a square matrix, got {A.shape}")
     spec, one = A.spec, A.spec.one
@@ -268,13 +271,13 @@ def _sweeps(name: str, H, F, max_iter, full_output: bool, lower: bool):
     over all of H.  A pass that changes nothing ends the solve, and
     info["iterations"] counts the passes, that one included.  DomainError
     if a product of finite entries overflows float64."""
-    _require_idempotent(H.spec, name)
-    _same_spec(H, F)
+    _require_idempotent(_operands(SemiringMatrix, H), name)  # NotIdempotent before SpecMismatch
+    spec = _operands(SemiringMatrix, H, F)
     if H.rows != H.cols:
         raise ShapeMismatch(f"H must be square, got {H.shape}")
     if F.rows != H.rows:
         raise ShapeMismatch(f"F has {F.rows} rows for an {H.rows}-node system")
-    spec, f, n = H.spec, F.data, H.rows
+    f, n = F.data, H.rows
     budget = n + 1 if max_iter is None else _count(max_iter, "max_iter")
     (WL, CL), (WU, CU) = _split_rows(H, lower)
     X = f
@@ -400,7 +403,8 @@ def _accumulate(n: int, src, dst, w, spec: SemiringSpec) -> np.ndarray:
 def adjacency_matrix(g: Graph, spec: SemiringSpec = MINPLUS) -> SemiringMatrix:
     """Edge-weight matrix with absent arcs at the zero element; parallel
     edges combine by (+)."""
-    return SemiringMatrix(_accumulate(g.n, g.src, g.dst, g.w, spec), spec)
+    _operands(SemiringSpec, spec)
+    return SemiringMatrix(_accumulate(_operands(Graph, g), g.src, g.dst, g.w, spec), spec)
 
 
 def shortest_paths(g: Graph) -> SemiringMatrix:

@@ -27,7 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NotIdempotent, OutOfMemory, ShapeMismatch, SpecMismatch
+from .errors import (DimensionMismatch, DomainError, GridMismatch, NotIdempotent, OutOfMemory, ShapeMismatch,
+                     SpecMismatch)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -216,35 +217,19 @@ class SemiringSpec:
 _GRAIN = 2.0**20
 
 
-def _dyadic(rng, size, lo, hi):
-    return rng.integers(int(lo * _GRAIN), int(hi * _GRAIN), size=size, endpoint=True) / _GRAIN
-
-
-def _sprinkle(rng, values, specials, frac=0.04):
-    for s in specials:
-        mask = rng.random(values.shape) < frac
-        values = np.where(mask, s, values)
-    return values + 0.0
-
-
 def _sample_bool(rng, size):
     return rng.integers(0, 2, size=size).astype(float)
 
 
-def _sample_maxplus(rng, size):
-    return _sprinkle(rng, _dyadic(rng, size, -50, 50), [NEG_INF, 0.0])
-
-
-def _sample_minplus(rng, size):
-    return _sprinkle(rng, _dyadic(rng, size, -50, 50), [POS_INF, 0.0])
-
-
-def _sample_maxmin(rng, size):
-    return _sprinkle(rng, _dyadic(rng, size, -50, 50), [NEG_INF, POS_INF])
-
-
-def _sample_nonneg(rng, size):
-    return _sprinkle(rng, _dyadic(rng, size, 0, 100), [0.0, 1.0])
+def _sampler(lo, hi, specials):
+    """A sampler of draws from [lo, hi], about 4 % replaced by each special in turn."""
+    def sample(rng, size):
+        values = rng.integers(int(lo * _GRAIN), int(hi * _GRAIN), size=size, endpoint=True) / _GRAIN
+        for s in specials:
+            mask = rng.random(values.shape) < 0.04
+            values = np.where(mask, s, values)
+        return values + 0.0
+    return sample
 
 
 # --- carrier predicates (vectorized) ---------------------------------------
@@ -256,13 +241,11 @@ def _contains_bool(x):
 
 
 def _contains_maxplus(x):
-    x = np.asarray(x)
-    return ~np.isnan(x) & (x < POS_INF)
+    return np.asarray(x) < POS_INF  # False for NaN
 
 
 def _contains_minplus(x):
-    x = np.asarray(x)
-    return ~np.isnan(x) & (x > NEG_INF)
+    return np.asarray(x) > NEG_INF
 
 
 def _contains_maxmin(x):
@@ -295,7 +278,7 @@ MAXPLUS = SemiringSpec(
     idempotent=True,
     contains=_contains_maxplus,
     add_reduce=lambda a, axis: np.maximum.reduce(a, axis=axis),
-    sample=_sample_maxplus,
+    sample=_sampler(-50, 50, [NEG_INF, 0.0]),
 )
 
 MINPLUS = SemiringSpec(
@@ -307,7 +290,7 @@ MINPLUS = SemiringSpec(
     idempotent=True,
     contains=_contains_minplus,
     add_reduce=lambda a, axis: np.minimum.reduce(a, axis=axis),
-    sample=_sample_minplus,
+    sample=_sampler(-50, 50, [POS_INF, 0.0]),
 )
 
 MAXMIN = SemiringSpec(
@@ -319,7 +302,7 @@ MAXMIN = SemiringSpec(
     idempotent=True,
     contains=_contains_maxmin,
     add_reduce=lambda a, axis: np.maximum.reduce(a, axis=axis),
-    sample=_sample_maxmin,
+    sample=_sampler(-50, 50, [NEG_INF, POS_INF]),
 )
 
 NONNEG = SemiringSpec(
@@ -331,7 +314,7 @@ NONNEG = SemiringSpec(
     idempotent=False,
     contains=_contains_nonneg,
     add_reduce=lambda a, axis: np.add.reduce(a, axis=axis),
-    sample=_sample_nonneg,
+    sample=_sampler(0, 100, [0.0, 1.0]),
 )
 
 
@@ -347,7 +330,7 @@ def deformed_spec(h: float) -> SemiringSpec:
         idempotent=False,
         contains=_contains_maxplus,
         add_reduce=_lse_reduce(h),
-        sample=_sample_maxplus,
+        sample=_sampler(-50, 50, [NEG_INF, 0.0]),
         h=h,
     )
 
@@ -358,6 +341,7 @@ _REGISTRY: dict[str, SemiringSpec] = {}
 
 def register_semiring(spec: SemiringSpec) -> None:
     """Make a custom spec resolvable through get_semiring by its name."""
+    _operands(SemiringSpec, spec)
     if spec.name in _BUILTIN or spec.name.startswith("deformed:"):
         raise ValueError(f"name {spec.name!r} is reserved")
     _REGISTRY[spec.name] = spec
@@ -365,6 +349,8 @@ def register_semiring(spec: SemiringSpec) -> None:
 
 def get_semiring(name: str) -> SemiringSpec:
     """Resolve a semiring id: a built-in name, deformed:<h>, or a registered one."""
+    if not isinstance(name, str):
+        raise ValueError(f"a semiring id is a string, got {_short(name)}")
     if name in _BUILTIN:
         return _BUILTIN[name]
     if name.startswith("deformed:"):
@@ -380,13 +366,32 @@ def get_semiring(name: str) -> SemiringSpec:
 # --- helpers shared by the matrix and function modules ---------------------
 
 
-def _same_spec(x, y) -> SemiringSpec:
-    if x.spec.name != y.spec.name:
-        raise SpecMismatch(f"mixed semirings: {x.spec.name} vs {y.spec.name}")
-    return x.spec
+# (attribute naming a family of operands, error for two families, its word)
+_FAMILIES = (("spec", SpecMismatch, "semirings"), ("convention", GridMismatch, "conventions"),
+             ("n", DimensionMismatch, "dimensions"))
+
+
+def _operands(kind: type, *xs):
+    """The family the operands xs share, once each is checked to be a kind:
+    the first attribute of _FAMILIES that kind has, a spec compared by its
+    name; None if kind has none.  DomainError for an operand of another
+    type, and the attribute's error for two families."""
+    for x in xs:
+        if not isinstance(x, kind):
+            raise DomainError(f"expected a value of type {kind.__name__}, got {_short(x)}")
+    for attr, error, word in _FAMILIES:
+        if hasattr(kind, attr):
+            first, *rest = (getattr(x, attr) for x in xs)
+            for other in rest:
+                a, b = (getattr(f, "name", f) for f in (first, other))  # a spec by its name
+                if a != b:
+                    raise error(f"mixed {word}: {a} vs {b}")
+            return first
+    return None
 
 
 def _require_idempotent(spec: SemiringSpec, what: str) -> None:
+    _operands(SemiringSpec, spec)
     if not spec.idempotent:
         raise NotIdempotent(f"{what} needs an idempotent addition; {spec.name} has none")
 
@@ -411,6 +416,7 @@ def _no_overflow(what: str):
 
 
 def _require_member(x, spec: SemiringSpec) -> float:
+    _operands(SemiringSpec, spec)
     x = _real(x, "operand")
     if not bool(spec.contains(x)):
         raise DomainError(f"{x!r} is not in the carrier of {spec.name}")
@@ -473,6 +479,7 @@ def check_axioms(spec: SemiringSpec, trials: int = 10000, seed: int = 0) -> dict
     floor.  add-idempotent is always measured, so a truthful False is the
     expected result for the classical instances.
     """
+    _operands(SemiringSpec, spec)
     if spec.sample is None:
         raise ValueError(f"{spec.name} has no sampler; cannot audit laws")
     trials = _count(trials, "trials")

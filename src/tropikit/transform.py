@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, GridMismatch
 from .linalg import _BLOCK
 from .semiring import (MAXPLUS, MINPLUS, SemiringSpec, _allocatable, _count, _floats, _Frozen, _no_overflow,
-                       _positive_finite, _real)
+                       _operands, _positive_finite, _real)
 
 # The idempotent semiring each convention integrates in.
 _SPECS = {"maxplus": MAXPLUS, "minplus": MINPLUS}
@@ -67,14 +67,8 @@ class SampledFunction(_Frozen):
         return (self.start, self.step, self.convention, self.values.tobytes())
 
 
-def _same_convention(phi: SampledFunction, psi: SampledFunction) -> SemiringSpec:
-    if phi.convention != psi.convention:
-        raise GridMismatch(f"mixed conventions: {phi.convention} vs {psi.convention}")
-    return _SPECS[phi.convention]
-
-
 def _same_grid(phi: SampledFunction, psi: SampledFunction) -> SemiringSpec:
-    spec = _same_convention(phi, psi)
+    spec = _SPECS[_operands(SampledFunction, phi, psi)]
     if phi.start != psi.start or phi.step != psi.step or len(phi) != len(psi):
         raise GridMismatch("functions are sampled on different grids")
     return spec
@@ -82,7 +76,7 @@ def _same_grid(phi: SampledFunction, psi: SampledFunction) -> SemiringSpec:
 
 def idempotent_integral(phi: SampledFunction) -> float:
     """Integral with values in the idempotent semiring: the grid extremum."""
-    return float(_SPECS[phi.convention].add_reduce(phi.values, axis=0)) + 0.0
+    return float(_SPECS[_operands(SampledFunction, phi)].add_reduce(phi.values, axis=0)) + 0.0
 
 
 def integral_wrt_measure(phi: SampledFunction, psi: SampledFunction) -> float:
@@ -107,6 +101,7 @@ def pointwise_add(phi: SampledFunction, psi: SampledFunction) -> SampledFunction
 def scalar_mul(c: float, phi: SampledFunction) -> SampledFunction:
     """(x) by a scalar: shift the whole function by c.  DomainError if
     some finite phi(x) + c overflows float64."""
+    _operands(SampledFunction, phi)
     c = _real(c, "scalar")
     if not math.isfinite(c):
         raise DomainError(f"scalar must be finite, got {c!r}")
@@ -134,7 +129,7 @@ def convolution(phi: SampledFunction, psi: SampledFunction) -> SampledFunction:
     the extremum of the same float sums as the fold's, so the result is
     bitwise the fold's.
     """
-    spec = _same_convention(phi, psi)
+    spec = _SPECS[_operands(SampledFunction, phi, psi)]
     if phi.step != psi.step:
         raise GridMismatch(f"mixed steps: {phi.step!r} vs {psi.step!r}")
     # min-plus is max-plus on the negated values: fl(-x + -y) == -fl(x + y)
@@ -366,7 +361,7 @@ def legendre(
     samples are -inf, so is every output.  DomainError if a winning xi*x
     overflows.
     """
-    if phi.convention != "maxplus":
+    if _operands(SampledFunction, phi) != "maxplus":
         raise DomainError("the slope transform is defined for maxplus functions")
     xi_count = _count(xi_count, "xi_count")
     _allocatable(f"{xi_count} slopes are too many to allocate", xi_count)
@@ -411,7 +406,7 @@ def hopf_lax_evolve(s0: SampledFunction, t: float, m: float = 1.0) -> SampledFun
     output.  DomainError if c underflows to 0 or overflows, or a winning
     term overflows.
     """
-    if s0.convention != "minplus":
+    if _operands(SampledFunction, s0) != "minplus":
         raise DomainError("the evolution acts on minplus initial data")
     t = _positive_finite(t, "time")
     m = _positive_finite(m, "mass")

@@ -35,8 +35,8 @@ from tropikit import (
 )
 from tropikit.cli import _float_list, _positive_float, _semiring
 from tropikit.fileio import _data_lines, _fields_fault, _no_nan, _read, fmt_float
-from tropikit.semiring import _count, _no_overflow, _positive_finite, _require_idempotent, _same_spec
-from tropikit.transform import _same_convention
+from tropikit.semiring import _count, _no_overflow, _operands, _positive_finite, _require_idempotent
+from tropikit.transform import _SPECS
 
 INF = math.inf
 
@@ -118,7 +118,7 @@ def stabilized_star(A):
 def _check_system(H, F):
     """n for the system X = H (x) X (+) F, after the checks both Bellman
     solvers make before they iterate."""
-    _same_spec(H, F)
+    _operands(SemiringMatrix, H, F)
     if H.rows != H.cols:
         raise ShapeMismatch(f"H must be square, got {H.shape}")
     if F.rows != H.rows:
@@ -202,7 +202,7 @@ def fold_convolution(phi, psi):
 
     tropikit.convolution as it was before it certified its outputs from the
     best samples of each operand: the reference for its values and errors."""
-    spec = _same_convention(phi, psi)
+    spec = _SPECS[_operands(SampledFunction, phi, psi)]
     if phi.step != psi.step:
         raise GridMismatch(f"mixed steps: {phi.step!r} vs {psi.step!r}")
     a, b = sorted((phi.values, psi.values), key=len)

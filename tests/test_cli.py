@@ -136,6 +136,8 @@ def test_usage_errors_exit_2():
     assert run_cli(["axioms", "--semiring", "deformed:-1"]).returncode == 2
     assert run_cli(["hopflax", "--input", str(DATA / "s0.txt"), "--t", "-1"]).returncode == 2
     assert run_cli(["amoeba", "--h", "0"]).returncode == 2
+    assert run_cli(["dequant-demo", "--h", "-1"]).returncode == 2
+    assert run_cli(["dequant-demo", "--h", "0,1"]).returncode == 2
 
 
 SUBCOMMANDS = ["axioms", "sp", "bellman", "interval-bellman", "newton", "tropcurve", "amoeba",
@@ -144,7 +146,7 @@ USAGE_CASES = [[], ["-h"], ["--help"], ["bogus"], ["--bogus"], ["-o", "x"], ["SP
                *([sub, "--help"] for sub in SUBCOMMANDS),
                ["sp", "--graph", "g", "--bogus"], ["amoeba", "--h", "0"],
                ["bellman", "--method", "newton"], ["axioms", "--semiring", "bogus"],
-               ["dequant-demo", "--h", "a,b"]]
+               ["dequant-demo", "--h", "a,b"], ["dequant-demo", "--h", "-1"], ["dequant-demo", "--h", "0,1"]]
 
 
 @pytest.mark.parametrize("argv", USAGE_CASES, ids=lambda a: " ".join(a) or "(none)")
@@ -166,6 +168,23 @@ def test_dequant_demo_refuses_an_h_list_with_no_value(h):
     assert r.stderr.decode().splitlines()[-1].endswith(
         f"error: argument --h: not a comma-separated float list: {h!r}")
     assert r.stderr.count(b"error:") == 1
+
+
+@pytest.mark.parametrize("argv", [["amoeba", "--h", "inf"], ["dequant-demo", "--h", "inf"],
+                                  ["dequant-demo", "--h", "1,inf"]])
+def test_an_infinite_h_is_a_domain_error_in_both_commands(argv, capsys):
+    # one rule reads --h in both: positive is a usage check, finite the library's
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("ERROR DomainError:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["3", "-1"])
+def test_interval_bellman_target_out_of_range_exits_2(target):
+    r = run_cli(["interval-bellman", "--graph", str(DATA / "interval_graph.txt"), "--target", target])
+    assert r.returncode == 2
+    assert r.stdout == b""
+    assert r.stderr == f"ERROR FileFormatError: target {target} out of range for 3 nodes\n".encode()
 
 
 def test_dequant_demo_skips_empty_h_fields(capsys):
