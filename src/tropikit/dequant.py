@@ -393,7 +393,11 @@ class CurvePiece:
     t1: object
 
     def point(self, t):
-        t = Fraction(t)
+        """base + t*direction, exact; DomainError if t is not a rational."""
+        try:
+            t = _rational(t)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise DomainError(f"cannot read {_short(t)} as a rational parameter") from None
         return tuple(b + t * d for b, d in zip(self.base, self.direction))
 
 

@@ -103,6 +103,11 @@ class IntervalMatrix(_Frozen):
         return self.lower.shape
 
     def entry(self, i: int, j: int) -> IntervalValue:
+        """The interval at row i, column j; DomainError for an index that is
+        not a count below the matrix's shape."""
+        i, j = _count(i, "row index", least=0), _count(j, "column index", least=0)
+        if i >= self.shape[0] or j >= self.shape[1]:
+            raise DomainError(f"entry ({i}, {j}) is outside a matrix of shape {self.shape}")
         return IntervalValue(self.lower.data[i, j], self.upper.data[i, j], self.spec)
 
     def numeric_bounds(self):

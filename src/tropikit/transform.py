@@ -295,24 +295,41 @@ def _frame(x: np.ndarray, v: np.ndarray, c: float):
     return np.ldexp(x, -ex), np.ldexp(v, s), math.ldexp(c, 2 * ex + s), ex, s
 
 
-def _upper_hull(X: np.ndarray, V: np.ndarray, K: float) -> list:
+def _upper_hull(X: np.ndarray, V: np.ndarray, K: float) -> np.ndarray:
     """Indices of the vertices of the upper convex hull of the points
-    (X[j], V[j] - K*X[j]**2) over the j with V[j] > -inf, left to right, in
-    one pass, O(len(V)); the arguments come from _frame.
+    (X[j], V[j] - K*X[j]**2) over the j with V[j] > -inf, left to right, as
+    an int array, O(len(V)); the arguments come from _frame.
 
     X is non-decreasing, but its gaps need not be equal; of the samples at
     one X, which _frame left with equal V, the first is kept.  A hull test
     is the sign of a*(V[q]-V[p]) + b*(V[r]-V[p]) - K*a*b*d for the actual
     gaps a, b, d between X[r] < X[p] < X[q], made of differences only, so
     it is exact whenever those few products are (dyadic inputs).
+
+    The candidates are pruned in vectorized rounds before the monotone
+    chain (after Akl & Toussaint, "A fast convex hull algorithm", Inf.
+    Process. Lett. 7, 1978): each round tests every interior candidate
+    against its two current neighbours with the chain's own test and drops
+    those not strictly above the chord.  A point on or below a chord
+    between two other points is no vertex of the strict upper hull, so
+    where the test is exact the chain finds the same vertices among the
+    survivors.  The rounds stop once one removes less than a quarter of
+    the candidates; every earlier round shrank them by a quarter, so the
+    rounds cost O(len(V)) numpy work, and the chain runs in Python over
+    the survivors only.
     """
-    X, V, hull = X.tolist(), V.tolist(), []
-    for q, vq in enumerate(V):
-        if vq == -math.inf:
-            continue
-        xq = X[q]
-        if hull and X[hull[-1]] == xq:
-            continue
+    idx = np.flatnonzero(V > -math.inf)
+    idx = idx[np.diff(X[idx], prepend=-math.inf) > 0]  # the first at each X
+    while idx.size > 2:
+        r, p, q = idx[:-2], idx[1:-1], idx[2:]
+        xp, vp = X[p], V[p]
+        a, b = xp - X[r], X[q] - xp
+        above = a * (V[q] - vp) + b * (V[r] - vp) < K * (a * b * (X[q] - X[r]))
+        n, idx = idx.size, idx[np.r_[True, above, True]]
+        if 4 * (n - idx.size) < n:
+            break
+    X, V, hull = X[idx].tolist(), V[idx].tolist(), []
+    for q, (xq, vq) in enumerate(zip(X, V)):
         while len(hull) > 1:
             r, p = hull[-2], hull[-1]
             xp, vp = X[p], V[p]
@@ -322,10 +339,10 @@ def _upper_hull(X: np.ndarray, V: np.ndarray, K: float) -> list:
                 break
             hull.pop()
         hull.append(q)
-    return hull
+    return idx[hull]
 
 
-def _walk(hull: list, P, A, B, R, queries: list) -> np.ndarray:
+def _walk(hull: np.ndarray, P, A, B, R, queries: list) -> np.ndarray:
     """For each query q, the vertex of hull it selects: the walk moves from
     vertex h to h + 1 while P[h] * ((q - A[h]) + (q - B[h])) >= R[h].
 
@@ -368,14 +385,13 @@ def legendre(
     xi_start, xi_step = _check_grid(xi_start, xi_step, xi_count)
     xs, xis = phi.grid(), xi_start + xi_step * np.arange(xi_count)
     X, V, _, ex, s = _frame(xs, phi.values, 0.0)
-    hull = _upper_hull(X, V, 0.0)
-    if not hull:
+    h = _upper_hull(X, V, 0.0)
+    if not h.size:
         return SampledFunction(xi_start, xi_step, np.full(xi_count, MAXPLUS.zero), "maxplus")
     # x[h + 1] wins over x[h] at xi iff xi*(x[h + 1] - x[h]) >= phi[h] - phi[h + 1].
     # With the gap 2**(ex + k) * G, 1/2 <= G < 1, and xi = q * 2**e, where
     # e <= 0 scales tiny slopes up, that reads q * G >= (V[h] - V[h + 1]) * 2**r:
     # no side overflows, and a right side that overflows or underflows keeps its sign.
-    h = np.array(hull)
     G, k = np.frexp(np.diff(X[h]))
     e = min(0, math.frexp(max(abs(xi_start), abs(float(xis[-1]))))[1])
     D = V[h[:-1]] - V[h[1:]]
@@ -383,7 +399,7 @@ def legendre(
         R = np.ldexp(D, -s - ex - k - e)
     R = np.where(R == 0.0, np.sign(D) * 5e-324, R)
     zero = [0.0] * G.size
-    w = _walk(hull, G.tolist(), zero, zero, R.tolist(), np.ldexp(xis, -e - 1).tolist())
+    w = _walk(h, G.tolist(), zero, zero, R.tolist(), np.ldexp(xis, -e - 1).tolist())
     with _no_overflow("legendre: xi*x + phi(x)"):
         out = xis * xs[w] + phi.values[w]
     return SampledFunction(xi_start, xi_step, out, "maxplus")
@@ -417,14 +433,13 @@ def hopf_lax_evolve(s0: SampledFunction, t: float, m: float = 1.0) -> SampledFun
     a, y0, dy, ys = s0.values, s0.start, s0.step, s0.grid()
     # the lower envelope of the parabolas is the upper hull of (y, -s0(y) - c*y*y)
     Y, V, K, _, _ = _frame(ys, -a, c)
-    hull = _upper_hull(Y, V, K)
-    if not hull:
+    h = _upper_hull(Y, V, K)
+    if not h.size:
         return SampledFunction(y0, dy, np.full(a.size, MINPLUS.zero), "minplus")
     # y[h + 1] wins over y[h] at y iff
     # c*(y[h + 1] - y[h])*((y - y[h]) + (y - y[h + 1])) >= s0[h + 1] - s0[h]
-    h = np.array(hull)
     A, B = Y[h[:-1]], Y[h[1:]]
-    w = _walk(hull, (K * (B - A)).tolist(), A.tolist(), B.tolist(), (V[h[:-1]] - V[h[1:]]).tolist(), Y.tolist())
+    w = _walk(h, (K * (B - A)).tolist(), A.tolist(), B.tolist(), (V[h[:-1]] - V[h[1:]]).tolist(), Y.tolist())
     with _no_overflow("hopf_lax_evolve: s0(y) + m*(x - y)^2/(2t)"):
         diff = ys - ys[w]
         out = a[w] + c * (diff * diff)

@@ -195,6 +195,40 @@ def brute_hopf_lax(s0, t, m=1.0):
     return np.min(s0.values + c * (diff * diff), axis=1)
 
 
+def chain_upper_hull(X, V, K):
+    """The one-pass monotone chain over every sample: the reference for
+    tropikit.transform._upper_hull, which must return the same indices
+    wherever the hull test is exact (dyadic inputs).
+
+    Indices of the vertices of the upper convex hull of the points
+    (X[j], V[j] - K*X[j]**2) over the j with V[j] > -inf, left to right, in
+    one pass, O(len(V)); the arguments come from _frame.
+
+    X is non-decreasing, but its gaps need not be equal; of the samples at
+    one X, which _frame left with equal V, the first is kept.  A hull test
+    is the sign of a*(V[q]-V[p]) + b*(V[r]-V[p]) - K*a*b*d for the actual
+    gaps a, b, d between X[r] < X[p] < X[q], made of differences only, so
+    it is exact whenever those few products are (dyadic inputs).
+    """
+    X, V, hull = X.tolist(), V.tolist(), []
+    for q, vq in enumerate(V):
+        if vq == -math.inf:
+            continue
+        xq = X[q]
+        if hull and X[hull[-1]] == xq:
+            continue
+        while len(hull) > 1:
+            r, p = hull[-2], hull[-1]
+            xp, vp = X[p], V[p]
+            a, b = xp - X[r], xq - xp
+            # keep p while it lies strictly above the chord from r to q
+            if a * (vq - vp) + b * (V[r] - vp) < K * (a * b * (xq - X[r])):
+                break
+            hull.pop()
+        hull.append(q)
+    return hull
+
+
 def fold_convolution(phi, psi):
     """(phi (*) psi)(g) = extremum_x phi(x) + psi(g - x) by folding the
     shorter operand into the output one sample at a time, O(N*M).

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import time
@@ -6,7 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import brute_hopf_lax, brute_legendre, dyadic, fold_convolution, upper_concave_envelope
+from helpers import (brute_hopf_lax, brute_legendre, chain_upper_hull, dyadic, fold_convolution,
+                     upper_concave_envelope)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from tropikit import (
     pointwise_add,
     scalar_mul,
 )
+from tropikit.transform import _frame, _upper_hull
 
 INF = math.inf
 DELTA = 2.0 ** -52
@@ -628,6 +631,67 @@ def test_envelope_decisions_survive_extreme_scales():
     # value must still win among samples that share one point
     s0 = grid_fn(1e300, 1.0, [7.0, 0.5], "minplus")
     assert list(hopf_lax_evolve(s0, 1e-300, 0.5).values) == [0.5, 0.5]
+
+
+# --- the pruned hull against the one-pass chain -----------------------------------
+
+# dyadic grids, and grids far from 0 whose points float64 rounds onto uneven
+# gaps or onto one another (1e16 + 3*i is 1e16 + {0, 4, 6, 8, 12, 16, ...})
+_HULL_GRIDS = st.sampled_from([(-2.0, 0.25), (-0.5, 2.0**-6), (1e16, 3.0), (-1e16, 1.0), (1.7e18, 1000.0)])
+
+
+@st.composite
+def _hull_samples(draw):
+    """(x, v): n grid points and dyadic values of one of three shapes, with
+    -inf holes: random; a concave parabola, all on the hull on a dyadic
+    grid, so no round removes a point; and that parabola with a spike at
+    its end, which uncovers one point per round (the cascade), so the
+    rounds stop at once and the chain pops the rest."""
+    n = draw(st.integers(1, 80))
+    start, step = draw(_HULL_GRIDS)
+    shape = draw(st.sampled_from(["random", "parabola", "spike"]))
+    if shape == "random":
+        v = np.array(draw(st.lists(st.integers(-(1 << 11), 1 << 11), min_size=n, max_size=n))) / 256
+    else:
+        i = np.arange(n, dtype=float)
+        v = -(i * i) / 64
+        if shape == "spike":
+            v[-1] = 2.0**12
+    v[draw(st.lists(st.integers(0, n - 1), max_size=n))] = -INF
+    return start + step * np.arange(n), v
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hull_samples(), st.sampled_from([0.0, 0.5, 3.0, 2.0**20]))
+def test_pruned_hull_is_the_chains_on_dyadic_frames(samples, c):
+    X, V, K, _, _ = _frame(*samples, c)
+    got = _upper_hull(X, V, K)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == chain_upper_hull(X, V, K)
+
+
+def test_pruned_hull_on_zero_to_three_samples():
+    assert _upper_hull(np.empty(0), np.empty(0), 0.0).tolist() == []
+    levels = [-INF, -1.0, 0.0, 0.5]
+    for n in (1, 2, 3):
+        for v in itertools.product(levels, repeat=n):
+            for start, step in [(-1.0, 0.5), (1e16, 1.0)]:  # at 1e16 the points coincide
+                for c in (0.0, 0.5):
+                    X, V, K, _, _ = _frame(start + step * np.arange(n), np.array(v), c)
+                    assert _upper_hull(X, V, K).tolist() == chain_upper_hull(X, V, K)
+
+
+@pytest.mark.parametrize("kind", ["legendre", "hopflax"])
+def test_pruned_hull_is_the_chains_on_bench_shaped_frames(kind):
+    rng = np.random.default_rng(86)
+    for _ in range(3):
+        f = bench_fn(rng, 8000, "maxplus")
+        if kind == "legendre":
+            frame = _frame(f.grid(), f.values, 0.0)
+        else:  # hopf_lax_evolve frames -s0 with c = m/(2t)
+            frame = _frame(f.grid(), -f.values, 1.0 / (2.0 * float(rng.choice([0.5, 1.0, 2.0, 4.0]))))
+        X, V, K, _, _ = frame
+        assert _upper_hull(X, V, K).tolist() == chain_upper_hull(X, V, K)
 
 
 def test_legendre_drops_minus_inf_and_types_the_overflow():

@@ -24,6 +24,7 @@ from tropikit import (
     MAXPLUS,
     MINPLUS,
     NONNEG,
+    CurvePiece,
     DimensionMismatch,
     DomainError,
     GenPolynomial,
@@ -254,6 +255,7 @@ ENTRY_POINTS = {
     "IntervalMatrix.from_arrays": (IntervalMatrix.from_arrays, ([[1.0]], [[0.5]], MINPLUS), 3),
     "IntervalMatrix.from_numeric": (IntervalMatrix.from_numeric, ([[1.0]], [[0.5]], MINPLUS), 3),
     "IntervalMatrix.contains_point": (_IM.contains_point, (_S,), 1),
+    "IntervalMatrix.entry": (_IM.entry, (0, 0), 2),
     "Graph": (Graph, (3, [(0, 1, 1.0)]), 2),
     "SampledFunction": (SampledFunction, (0.0, 1.0, [0.0, 1.0], "minplus"), 4),
     "GenPolynomial": (GenPolynomial, (2, [(1.0, (1, 0)), (-2, ("1/2", 3))]), 2),
@@ -295,6 +297,7 @@ ENTRY_POINTS = {
     "polytope_add": (polytope_add, (_P, _P), 2),
     "polytope_mul": (polytope_mul, (_P, _P), 2),
     "tropical_curve_2d": (tropical_curve_2d, ([(0, (1, 0)), (0, (0, 1)), (0, (0, 0))],), 1),
+    "CurvePiece.point": (CurvePiece((0, 0), (1, 2), 0, 1).point, ("1/2",), 1),
     "log_h": (log_h, ((1 + 1j, 2.0), 0.5), 2),
     "amoeba_line_sample": (amoeba_line_sample, (0.5, 4), 2),
     "format_matrix": (format_matrix, (_S,), 1),
@@ -402,6 +405,15 @@ def test_the_mismatches_that_are_answers_not_errors():
     # a point matrix of another shape lies in no interval matrix
     assert _IM.contains_point(_ROW) is False
     assert _IM.entry(0, 0) == IntervalValue(2.0, 1.0, MINPLUS)
+
+
+def test_accessors_name_what_they_cannot_read():
+    with pytest.raises(DomainError, match=r"^entry \(1, 0\) is outside a matrix of shape \(1, 1\)$"):
+        _IM.entry(1, 0)
+    with pytest.raises(DomainError, match="row index must be an integer >= 0, got -1"):
+        _IM.entry(-1, 0)
+    with pytest.raises(DomainError, match="cannot read inf as a rational parameter"):
+        CurvePiece((0, 0), (1, 2), 0, 1).point(INF)
 
 
 def test_convolution_ends_when_the_first_block_holds_every_finite_pair():
