@@ -10,6 +10,7 @@ or input-parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -192,7 +193,10 @@ def _run_dequant_demo(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parser(names) -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser(names: tuple) -> argparse.ArgumentParser:
+    """The parser of the subcommands names, built once per process: argparse
+    builds its help formatter only when it prints, so reuse changes no byte."""
     p = argparse.ArgumentParser(
         prog="tropikit",
         description="idempotent semirings, tropical linear algebra, dequantization",
@@ -214,10 +218,14 @@ def _parser(names) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # only the named subcommand's parser; --help and a missing or unknown one need all
-    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    names = (argv[0],) if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
     args = _parser(names).parse_args(argv)
     try:
         text = args.run(args)
+        if args.output:
+            fileio.write_text(args.output, text)
+        else:
+            sys.stdout.write(text)
     except FileFormatError as e:
         print(f"ERROR FileFormatError: {e}", file=sys.stderr)
         return 2
@@ -230,10 +238,6 @@ def main(argv=None) -> int:
     except MemoryError as e:
         print(f"ERROR OutOfMemory: {args.command}: {str(e) or 'allocation failed'}", file=sys.stderr)
         return 1
-    if args.output:
-        fileio.write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

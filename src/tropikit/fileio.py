@@ -6,6 +6,14 @@ The numeric writers format each distinct value of an array once, telling
 values apart by their bits (so -0.0 still prints -0 beside 0.0), and
 gather the strings: the bytes are those of fmt_float on every entry.
 Writers always end with a newline and use LF regardless of platform.
+
+The numeric readers hand their data lines to one np.loadtxt call, which
+alone writes the message naming the file line at fault.  Two shapes skip
+the per-line Python: matrix rows of mostly infinities go one np.fromstring
+call a row, and a function file whose first line is its header and whose
+body holds one number a line in the characters 0-9 . e E + - i n f goes
+one np.fromstring call for the whole body.  They read the same doubles as
+np.loadtxt, and a file they do not read whole goes to np.loadtxt.
 """
 
 from __future__ import annotations
@@ -364,18 +372,60 @@ def format_function(f: SampledFunction) -> str:
     return "\n".join([head, *_fmt_cells(f.values).tolist()]) + "\n"
 
 
-def parse_function(text: str) -> SampledFunction:
-    lns, lines = _data_lines(text)
-    if not lines:
-        raise FileFormatError("function file is empty")
-    ln, head = lns[0], lines[0]
+def _function_header(ln: int, head: str):
+    """(start, step, convention) of the stripped header line head, file line ln."""
     parts = head.split()
     if len(parts) != 6 or parts[0] != "start" or parts[2] != "step" or parts[4] != "convention":
         raise FileFormatError(f"line {ln}: bad function header {head!r}")
     start, step = _tokens(ln, parse_float, (parts[1], parts[3]))
-    convention = parts[5]
-    if convention not in _SPECS:
-        raise FileFormatError(f"line {ln}: unknown convention {convention!r}")
+    if parts[5] not in _SPECS:
+        raise FileFormatError(f"line {ln}: unknown convention {parts[5]!r}")
+    return start, step, parts[5]
+
+
+# The characters of a clean body.  Its lines hold no whitespace, so each is
+# one field for np.loadtxt and one token for np.fromstring, and a token spelt
+# with these reads to the same double in both, or fails in both.  An
+# allow-list also shuts out the other line breaks and blanks of str.strip and
+# str.splitlines ('\x1c'-'\x1f', '\x85', '\u2028').
+_BLOCK_CHARS = b"0123456789.eE+-inf\n"
+
+
+def _block(body: str):
+    """The samples of a clean body, one a line, as one float array read by
+    a single np.fromstring call; None if the body is not clean, or numpy
+    does not read it to its end, or reads a NaN, or reads fewer values than
+    the body has lines (a blank line gives no value)."""
+    if not body.isascii() or body.encode().translate(None, _BLOCK_CHARS):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x only warns where the body is not read to its end
+            warnings.simplefilter("error", DeprecationWarning)
+            vals = np.fromstring(body, sep="\n")
+    except (ValueError, DeprecationWarning):
+        return None
+    lines = body.count("\n") + (body[-1:] != "\n")
+    return vals if vals.size == lines and _no_nan(vals) else None
+
+
+def parse_function(text: str) -> SampledFunction:
+    """A function file: the header line, then one sample a line.
+
+    A file whose first line is its header and whose body is clean is read
+    by _block; every other file, and every body _block does not read, by
+    _read, which alone writes the message naming the file line at fault."""
+    raw, _, body = text.partition("\n")
+    head = raw.strip()
+    if raw.isascii() and raw.isprintable() and head[:1] not in ("", "#"):
+        start, step, convention = _function_header(1, head)
+        vals = _block(body)
+        if vals is not None:
+            return SampledFunction(start, step, vals, convention)
+    lns, lines = _data_lines(text)
+    if not lines:
+        raise FileFormatError("function file is empty")
+    start, step, convention = _function_header(lns[0], lines[0])
     if len(lines) == 1:
         raise FileFormatError("function file has no samples")
 
@@ -390,8 +440,17 @@ def parse_function(text: str) -> SampledFunction:
 
 
 def read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The UTF-8 text of the file at path, its CR LF and CR line ends read
+    as LF (as text mode reads them); FileFormatError names the offset of the
+    first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"byte {e.start}: not UTF-8 ({e.reason})") from None
+    # CPython finds one character by memchr, a two-character string far slower
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def write_text(path, text: str) -> None:

@@ -315,19 +315,25 @@ def _upper_hull(X: np.ndarray, V: np.ndarray, K: float) -> np.ndarray:
     where the test is exact the chain finds the same vertices among the
     survivors.  The rounds stop once one removes less than a quarter of
     the candidates; every earlier round shrank them by a quarter, so the
-    rounds cost O(len(V)) numpy work, and the chain runs in Python over
-    the survivors only.
+    rounds cost O(len(V)) numpy work.  One more test then drops the
+    candidates not strictly above the chord from the first to the last: a
+    concave run closed by an end spike loses one point a round, and this
+    test removes it at once.  The chain runs in Python over the survivors
+    only.
     """
+    def above(r, p, q):  # the chain's test, on arrays
+        xp, vp = X[p], V[p]
+        a, b = xp - X[r], X[q] - xp
+        return a * (V[q] - vp) + b * (V[r] - vp) < K * (a * b * (X[q] - X[r]))
+
     idx = np.flatnonzero(V > -math.inf)
     idx = idx[np.diff(X[idx], prepend=-math.inf) > 0]  # the first at each X
     while idx.size > 2:
-        r, p, q = idx[:-2], idx[1:-1], idx[2:]
-        xp, vp = X[p], V[p]
-        a, b = xp - X[r], X[q] - xp
-        above = a * (V[q] - vp) + b * (V[r] - vp) < K * (a * b * (X[q] - X[r]))
-        n, idx = idx.size, idx[np.r_[True, above, True]]
+        n, idx = idx.size, idx[np.r_[True, above(idx[:-2], idx[1:-1], idx[2:]), True]]
         if 4 * (n - idx.size) < n:
             break
+    if idx.size > 2:  # then every candidate against the chord from the first to the last
+        idx = idx[np.r_[True, above(idx[0], idx[1:-1], idx[-1]), True]]
     X, V, hull = X[idx].tolist(), V[idx].tolist(), []
     for q, (xq, vq) in enumerate(zip(X, V)):
         while len(hull) > 1:

@@ -34,7 +34,7 @@ from tropikit import (
     matrix_mul,
 )
 from tropikit.cli import _float_list, _positive_float, _semiring
-from tropikit.fileio import _data_lines, _fields_fault, _no_nan, _read, fmt_float
+from tropikit.fileio import _data_lines, _fields_fault, _no_nan, _read, _token_fault, _tokens, fmt_float, parse_float
 from tropikit.semiring import _count, _no_overflow, _operands, _positive_finite, _require_idempotent
 from tropikit.transform import _SPECS
 
@@ -312,6 +312,31 @@ def loadtxt_float_rows(text: str, what: str) -> np.ndarray:
             len(toks) != width and f"ragged row ({len(toks)} of {width} entries)")
 
     return _read(lns, lines, np.dtype(float), fault, _no_nan)
+
+
+def loadtxt_parse_function(text: str) -> SampledFunction:
+    """tropikit.fileio.parse_function as it was before clean bodies were read
+    by one np.fromstring call: every file through the data-line filter and
+    one np.loadtxt call."""
+    lns, lines = _data_lines(text)
+    if not lines:
+        raise FileFormatError("function file is empty")
+    ln, head = lns[0], lines[0]
+    parts = head.split()
+    if len(parts) != 6 or parts[0] != "start" or parts[2] != "step" or parts[4] != "convention":
+        raise FileFormatError(f"line {ln}: bad function header {head!r}")
+    start, step = _tokens(ln, parse_float, (parts[1], parts[3]))
+    convention = parts[5]
+    if convention not in _SPECS:
+        raise FileFormatError(f"line {ln}: unknown convention {convention!r}")
+    if len(lines) == 1:
+        raise FileFormatError("function file has no samples")
+
+    def fault(line):
+        return f"not a number: {line!r}" if len(line.split()) != 1 else _token_fault(line, float)
+
+    vals = _read(lns[1:], lines[1:], np.dtype(float), fault, lambda a: a.shape[1] == 1 and _no_nan(a))
+    return SampledFunction(start, step, vals[:, 0], convention)
 
 
 def per_edge_accumulate(n, src, dst, w, spec):

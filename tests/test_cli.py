@@ -244,6 +244,37 @@ def test_malformed_numeric_file_is_one_error_line_naming_the_file_line(argv, tex
     assert err.count("\n") == 1
 
 
+
+NOT_UTF8 = [(["sp", "--graph"], b"n 2\n0 1 \xff\n", 8),
+            (["bellman", "--semiring", "minplus", "--f-matrix", str(DATA / "f.txt"), "--h-matrix"],
+             b"0 1\n\xc3( 0\n", 4),
+            (["hopflax", "--t", "1", "--input"], b"start 0 step 1 convention minplus\n0\n1\xe2\x82\n", 37)]
+
+
+@pytest.mark.parametrize("argv,data,offset", NOT_UTF8, ids=[c[0][0] for c in NOT_UTF8])
+def test_an_input_that_is_not_utf8_is_one_error_line(argv, data, offset, tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    assert cli.main([*argv, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"ERROR FileFormatError: byte {offset}: not UTF-8")
+    assert err.count("\n") == 1
+    r = run_cli([*argv, str(path)])
+    assert (r.returncode, r.stdout, r.stderr) == (2, b"", err.encode())
+
+
+def test_an_output_path_naming_a_directory_is_one_error_line(tmp_path, capsys):
+    argv = ["legendre", "--input", str(DATA / "phi.txt"), "--xi-start", "0", "--xi-step", "1",
+            "--xi-count", "3", "-o", str(tmp_path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: [Errno ") and str(tmp_path) in err
+    assert err.count("\n") == 1
+    r = run_cli(argv)
+    assert (r.returncode, r.stdout, r.stderr) == (2, b"", err.encode())
+
 OVERSIZED = [(["sp", "--graph"], "n 4294967296\n0 1 1.0\n"),
              (["interval-bellman", "--target", "0", "--graph"], "n 4294967296\n0 1 1.0 2.0\n")]
 

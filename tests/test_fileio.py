@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from helpers import (
     loadtxt_float_rows,
+    loadtxt_parse_function,
     per_entry_parse_interval_matrix,
     per_token_edges,
     per_token_float_rows,
@@ -43,6 +44,7 @@ from tropikit import (
 from tropikit.dequant import _MAX_EXPONENT, _rational
 from tropikit.semiring import _short
 from tropikit.fileio import (
+    _block,
     _data_lines,
     _fmt_cells,
     _float_rows,
@@ -65,6 +67,7 @@ from tropikit.fileio import (
     parse_matrix,
     parse_points,
     parse_poly,
+    read_text,
 )
 
 INF = math.inf
@@ -589,6 +592,74 @@ def test_wide_rows_of_infinities_are_read_without_loadtxt(monkeypatch):
                  " ".join(row) + "\ninf\n"):
         with pytest.raises(AssertionError, match="np.loadtxt called"):
             _float_rows(text, "matrix")
+
+
+# --- the block reader of function files against the per-line reader --------------
+
+_HEADERS = ("start 0 step 1 convention maxplus", "start -1.5 step 0.25 convention minplus")
+# what may break a clean file: a blank line, a comment, whitespace, the other
+# line breaks of str.splitlines, a second token on a line
+_INJECTIONS = ("blank", "#", " ", "\t", "\r", "\x1c", "\x85", "second token")
+
+
+@st.composite
+def _function_file(draw):
+    """A header, then one grammar token a line; maybe one injection into
+    any line, the header too."""
+    lines = [draw(st.sampled_from(_HEADERS)), *draw(st.lists(_grammar_tokens, max_size=6))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        what = draw(st.sampled_from(_INJECTIONS))
+        if what == "blank":
+            lines.insert(i, "")
+        elif what == "second token":
+            lines[i] += " " + draw(_grammar_tokens)
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:j] + what + lines[i][j:]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_function_file())
+def test_parse_function_block_path_is_bitwise_the_per_line_reader(text):
+    # the same values bit for bit, or the same error text, as the reader
+    # that sends every file through the data-line filter and np.loadtxt
+    event("block" if _block(text.partition("\n")[2]) is not None else "fallback")
+    try:
+        want = loadtxt_parse_function(text)
+    except TropikitError as e:
+        with pytest.raises(type(e)) as got:
+            parse_function(text)
+        assert str(got.value) == str(e)
+        return
+    got = parse_function(text)
+    assert (got.start, got.step, got.convention) == (want.start, want.step, want.convention)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_clean_function_files_are_read_without_loadtxt(monkeypatch):
+    def loadtxt(*args, **kw):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    # as the benchmark writes them: x on 2**-6, values on 2**-8
+    vals = np.random.default_rng(5).integers(-(1 << 11), (1 << 11) + 1, 8000) / 256
+    body = "\n".join(map(fmt_float, vals)) + "\n"
+    got = parse_function("start -62.5 step 0.015625 convention maxplus\n" + body)
+    assert got.values.tobytes() == vals.tobytes() and got.start == -62.5
+    with pytest.raises(AssertionError, match="np.loadtxt called"):
+        parse_function("# f\nstart -62.5 step 0.015625 convention maxplus\n" + body)
+
+
+def test_read_text_reads_line_ends_as_text_mode_and_names_a_byte_not_utf8(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\r\nb\rc\r\r\nd\r")
+    with open(path, encoding="utf-8") as fh:
+        assert read_text(path) == fh.read() == "a\nb\nc\n\nd\n"
+    path.write_bytes(b"x" * 9000 + b"\n\xff")  # past the first buffer of a text-mode read
+    with pytest.raises(FileFormatError, match=r"^byte 9001: not UTF-8 \(invalid start byte\)$"):
+        read_text(path)
 
 
 # --- every reader: a NaN-free result or a typed failure ------------------------

@@ -646,7 +646,8 @@ def _hull_samples(draw):
     -inf holes: random; a concave parabola, all on the hull on a dyadic
     grid, so no round removes a point; and that parabola with a spike at
     its end, which uncovers one point per round (the cascade), so the
-    rounds stop at once and the chain pops the rest."""
+    rounds stop at once and the chord test takes the rest; or all of it
+    mirrored, the spike first."""
     n = draw(st.integers(1, 80))
     start, step = draw(_HULL_GRIDS)
     shape = draw(st.sampled_from(["random", "parabola", "spike"]))
@@ -657,6 +658,8 @@ def _hull_samples(draw):
         v = -(i * i) / 64
         if shape == "spike":
             v[-1] = 2.0**12
+    if draw(st.booleans()):
+        v = v[::-1].copy()
     v[draw(st.lists(st.integers(0, n - 1), max_size=n))] = -INF
     return start + step * np.arange(n), v
 
@@ -692,6 +695,29 @@ def test_pruned_hull_is_the_chains_on_bench_shaped_frames(kind):
             frame = _frame(f.grid(), -f.values, 1.0 / (2.0 * float(rng.choice([0.5, 1.0, 2.0, 4.0]))))
         X, V, K, _, _ = frame
         assert _upper_hull(X, V, K).tolist() == chain_upper_hull(X, V, K)
+
+
+def _best_hull_ms(X, V, K):
+    best = math.inf
+    for _ in range(7):
+        t = time.perf_counter()
+        _upper_hull(X, V, K)
+        best = min(best, time.perf_counter() - t)
+    return 1e3 * best
+
+
+@pytest.mark.parametrize("end", ["last", "first"])
+def test_an_end_spike_over_a_concave_run_is_pruned_in_one_test(end):
+    # the rounds drop one point a round from this frame and stop at once;
+    # the chord from the first to the last candidate takes the whole run
+    i = np.arange(8000, dtype=float)
+    v = -(i * i) / 64
+    v[-1] = 2.0**12
+    X, V, K, _, _ = _frame((i - 4000) / 64, v if end == "last" else v[::-1].copy(), 0.0)
+    assert _upper_hull(X, V, K).tolist() == chain_upper_hull(X, V, K) == [0, 7999]
+    f = bench_fn(np.random.default_rng(87), 8000, "maxplus")
+    bench = _frame(f.grid(), f.values, 0.0)[:3]
+    assert _best_hull_ms(X, V, K) < 3 * _best_hull_ms(*bench)  # the chain walked 8000 points: about 9x
 
 
 def test_legendre_drops_minus_inf_and_types_the_overflow():
